@@ -5,6 +5,13 @@ Geometry always moves both together: bilinear resampling for the image,
 nearest for the mask, and anything falling outside the source frame is
 filled with the per-channel image mean / the ignore index, so the
 augmentation never fabricates labels.
+
+A training sample keeps only a crop of the rescaled frame, so the crop
+is drawn before the rotation and only the crop window is rotated; the
+result is the same, bit for bit, as rotating the whole frame and then
+cropping. When the rescaled frame is smaller than the crop it must be
+padded, and the pad fill is the mean of the rotated frame, so that case
+rotates the whole frame before padding and cropping.
 """
 from __future__ import annotations
 
@@ -69,19 +76,30 @@ def resize_nearest(mask: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
 
 
 def rotate_pair(img: np.ndarray, mask: np.ndarray, degrees: float,
-                ignore_index: int = IGNORE_INDEX) -> tuple[np.ndarray, np.ndarray]:
+                ignore_index: int = IGNORE_INDEX, *,
+                window: tuple[int, int, int, int] | None = None,
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Rotate image and mask about the center by the same angle.
 
     The image is sampled bilinearly with out-of-frame positions set to
     the per-channel mean; the mask is sampled nearest with out-of-frame
     positions set to the ignore index.
+
+    ``window=(y0, x0, wh, ww)`` evaluates only that part of the rotated
+    frame. Every output pixel is computed by the same arithmetic as in
+    the full rotation, so the result equals the full rotation cropped
+    to the window, bit for bit.
     """
     c, h, w = img.shape
+    wy, wx, wh, ww = (0, 0, h, w) if window is None else window
+    if not (0 <= wy and 0 <= wx and 1 <= wh and 1 <= ww
+            and wy + wh <= h and wx + ww <= w):
+        raise DataError(f"rotation window {window} outside frame {(h, w)}")
     theta = math.radians(degrees)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
+    yy, xx = np.meshgrid(np.arange(wy, wy + wh, dtype=np.float64),
+                         np.arange(wx, wx + ww, dtype=np.float64), indexing="ij")
     sy = cy + cos_t * (yy - cy) + sin_t * (xx - cx)
     sx = cx - sin_t * (yy - cy) + cos_t * (xx - cx)
     inside = (sy >= 0) & (sy <= h - 1) & (sx >= 0) & (sx <= w - 1)
@@ -127,6 +145,11 @@ def augment_sample(img: np.ndarray, mask: np.ndarray, cfg: AugmentConfig,
     Draw order is fixed (scale, angle, crop y, crop x, flip) and every
     draw happens on every call, so a config that disables a transform
     still consumes the same randomness and stays bit-compatible.
+
+    The crop offsets are drawn before rotating (rotation keeps the frame
+    size) and only the crop window of the rotated frame is evaluated.
+    If the rescaled frame is smaller than the crop, the whole frame is
+    rotated, padded with the rotated frame's mean, and then cropped.
     """
     if img.ndim != 3 or mask.ndim != 2 or img.shape[1:] != mask.shape:
         raise DataError(
@@ -139,16 +162,24 @@ def augment_sample(img: np.ndarray, mask: np.ndarray, cfg: AugmentConfig,
     if out_hw != (h, w):
         img = resize_bilinear(img, out_hw)
         mask = resize_nearest(mask, out_hw)
-    if angle != 0.0:
-        img, mask = rotate_pair(img, mask, angle, cfg.ignore_index)
-    img, mask = _pad_to(img, mask, cfg.crop_hw, cfg.ignore_index)
 
-    ph, pw = mask.shape
+    # rotation keeps the frame size, so the padded extent and with it
+    # the crop offsets are known before rotating
+    h, w = out_hw
     ch, cw = cfg.crop_hw
+    ph, pw = max(h, ch), max(w, cw)
     y0 = int(rng.integers(0, ph - ch + 1))
     x0 = int(rng.integers(0, pw - cw + 1))
-    img = img[:, y0:y0 + ch, x0:x0 + cw]
-    mask = mask[y0:y0 + ch, x0:x0 + cw]
+    if angle != 0.0 and (ph, pw) == (h, w):
+        img, mask = rotate_pair(img, mask, angle, cfg.ignore_index,
+                                window=(y0, x0, ch, cw))
+    else:
+        if angle != 0.0:
+            # the pad fill is the mean of the rotated frame: rotate it whole
+            img, mask = rotate_pair(img, mask, angle, cfg.ignore_index)
+        img, mask = _pad_to(img, mask, cfg.crop_hw, cfg.ignore_index)
+        img = img[:, y0:y0 + ch, x0:x0 + cw]
+        mask = mask[y0:y0 + ch, x0:x0 + cw]
 
     if rng.random() < cfg.hflip_prob:
         img = img[:, :, ::-1]

@@ -6,6 +6,7 @@ binary PPM (P6), label rasters binary PGM (P5), both 8-bit.
 """
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -84,15 +85,32 @@ def write_checkpoint(path, entries: dict[str, np.ndarray], iteration: int = 0,
         table += struct.pack("<H", len(nb)) + nb
         table += struct.pack("<B4QQQ", _CODE_FOR[arr.dtype], *arr.shape, offset, nbytes)
         offset += nbytes
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<IQ", FORMAT_VERSION, iteration))
-        fh.write(struct.pack("<H", len(digest_bytes)))
-        fh.write(digest_bytes)
-        fh.write(struct.pack("<I", len(names)))
-        fh.write(table)
-        for arr in arrays:
-            fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+    # write a sibling file and rename it over the target, so a crash
+    # mid-write leaves the previous checkpoint intact
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<IQ", FORMAT_VERSION, iteration))
+            fh.write(struct.pack("<H", len(digest_bytes)))
+            fh.write(digest_bytes)
+            fh.write(struct.pack("<I", len(names)))
+            fh.write(table)
+            for arr in arrays:
+                fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _unpack(fmt: str, blob: bytes, pos: int, path) -> tuple:
+    """struct.unpack_from that names the file when its blob is cut short."""
+    try:
+        return struct.unpack_from(fmt, blob, pos)
+    except struct.error:
+        raise DataError(f"{path}: header or entry table is truncated") from None
 
 
 def read_checkpoint(path):
@@ -101,23 +119,23 @@ def read_checkpoint(path):
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a checkpoint (bad magic)")
-    version, iteration = struct.unpack_from("<IQ", blob, 4)
+    version, iteration = _unpack("<IQ", blob, 4, path)
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     pos = 16
-    (dlen,) = struct.unpack_from("<H", blob, pos)
+    (dlen,) = _unpack("<H", blob, pos, path)
     pos += 2
     digest = blob[pos:pos + dlen].decode("utf-8")
     pos += dlen
-    (count,) = struct.unpack_from("<I", blob, pos)
+    (count,) = _unpack("<I", blob, pos, path)
     pos += 4
     rows = []
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", blob, pos)
+        (nlen,) = _unpack("<H", blob, pos, path)
         pos += 2
         name = blob[pos:pos + nlen].decode("utf-8")
         pos += nlen
-        code, s0, s1, s2, s3, offset, nbytes = struct.unpack_from("<B4QQQ", blob, pos)
+        code, s0, s1, s2, s3, offset, nbytes = _unpack("<B4QQQ", blob, pos, path)
         pos += struct.calcsize("<B4QQQ")
         if code not in _DTYPE_CODES:
             raise DataError(f"{path}: entry {name!r} has unknown dtype code {code}")

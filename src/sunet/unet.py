@@ -8,11 +8,11 @@ is pre-activated (BN-ReLU-Conv). The same unit is emitted in two layouts:
   restore the grid. This is the classification layout.
 * multigrid: all strides become 1 and each conv instead receives the
   dilation of the grid it occupied in the strided layout (rate r at the
-  module grid, 2r one level down, 4r two levels down). A phase mask in
-  front of each transposed conv zeroes the positions that did not exist
-  in the strided layout, so the interleaved grids never mix and the
-  dilated module reproduces the strided module's values exactly on the
-  surviving subgrid.
+  module grid, 2r one level down, 4r two levels down). A phase mask
+  between the ReLU and each transposed conv zeroes the positions that
+  did not exist in the strided layout, so the interleaved grids never
+  mix and the dilated module reproduces the strided module's values
+  exactly on the surviving subgrid, whatever the BN state.
 
 The full module has two encoder/decoder levels (E1/E2, D2/D1) and feeds
 the concatenation of E1's output with D2's output into D1. The trimmed
@@ -34,21 +34,28 @@ BN_EPS = 1e-5
 
 def bn_relu_conv(g: NetworkGraph, base: str, src: str, cin: int, cout: int, *,
                  k: int = 3, s: int = 1, d: int = 1, tconv: bool = False,
-                 op: tuple[int, int] = (0, 0)) -> str:
-    """Emit a pre-activated block: bn -> relu -> (transposed) conv.
+                 op: tuple[int, int] = (0, 0),
+                 mask: tuple[str, int, int] | None = None) -> str:
+    """Emit a pre-activated block: bn -> relu -> [mask] -> (transposed) conv.
 
     Padding is always the size-preserving d*(k-1)/2, convs carry no bias
-    (a BN follows every block boundary). Returns the conv node name.
+    (a BN follows every block boundary). ``mask=(name, period, keep)``
+    puts a grid_mask node of that name between the relu and the conv, so
+    the conv sees exact zeros at the masked positions. Returns the conv
+    node name.
     """
     p = d * (k - 1) // 2
     g.add(f"{base}.bn", "bn", [src], c=cin, decay=BN_DECAY, eps=BN_EPS)
-    g.add(f"{base}.relu", "relu", [f"{base}.bn"])
+    feed = g.add(f"{base}.relu", "relu", [f"{base}.bn"])
+    if mask is not None:
+        name, period, keep = mask
+        feed = g.add(name, "grid_mask", [feed], period=period, keep=keep)
     attrs = dict(cin=cin, cout=cout, k=(k, k), s=(s, s), d=(d, d), p=(p, p),
                  bias=False)
     if tconv:
         attrs["op"] = op
-        return g.add(f"{base}.conv", "tconv", [f"{base}.relu"], **attrs)
-    return g.add(f"{base}.conv", "conv", [f"{base}.relu"], **attrs)
+        return g.add(f"{base}.conv", "tconv", [feed], **attrs)
+    return g.add(f"{base}.conv", "conv", [feed], **attrs)
 
 
 def add_module(g: NetworkGraph, prefix: str, src: str, cin: int, width: int,
@@ -71,23 +78,17 @@ def add_module(g: NetworkGraph, prefix: str, src: str, cin: int, width: int,
         e1a = bn_relu_conv(g, f"{prefix}.e1a", bin_, width, width, d=r)
         e1b = bn_relu_conv(g, f"{prefix}.e1b", e1a, width, width, d=2 * r)
         if trimmed:
-            m1 = g.add(f"{prefix}.d1mask", "grid_mask", [e1b],
-                       period=2 * r, keep=r)
-            d1a = bn_relu_conv(g, f"{prefix}.d1a", m1, width, width, d=r,
-                               tconv=True)
+            d1a = bn_relu_conv(g, f"{prefix}.d1a", e1b, width, width, d=r,
+                               tconv=True, mask=(f"{prefix}.d1mask", 2 * r, r))
         else:
             e2a = bn_relu_conv(g, f"{prefix}.e2a", e1b, width, width, d=2 * r)
             e2b = bn_relu_conv(g, f"{prefix}.e2b", e2a, width, width, d=4 * r)
-            m2 = g.add(f"{prefix}.d2mask", "grid_mask", [e2b],
-                       period=4 * r, keep=r)
-            d2a = bn_relu_conv(g, f"{prefix}.d2a", m2, width, width, d=2 * r,
-                               tconv=True)
+            d2a = bn_relu_conv(g, f"{prefix}.d2a", e2b, width, width, d=2 * r,
+                               tconv=True, mask=(f"{prefix}.d2mask", 4 * r, r))
             d2b = bn_relu_conv(g, f"{prefix}.d2b", d2a, width, width, d=2 * r)
             cat = g.add(f"{prefix}.cat", "concat", [e1b, d2b])
-            m1 = g.add(f"{prefix}.d1mask", "grid_mask", [cat],
-                       period=2 * r, keep=r)
-            d1a = bn_relu_conv(g, f"{prefix}.d1a", m1, 2 * width, width, d=r,
-                               tconv=True)
+            d1a = bn_relu_conv(g, f"{prefix}.d1a", cat, 2 * width, width, d=r,
+                               tconv=True, mask=(f"{prefix}.d1mask", 2 * r, r))
         d1b = bn_relu_conv(g, f"{prefix}.d1b", d1a, width, width, d=r)
     else:
         h, w = hw

@@ -197,6 +197,35 @@ def test_c06_atrous_equivalence_and_strided_divergence():
           f"{d_str:.1e} (>1e-2) in {elapsed:.1f}s")
 
 
+def test_c06_atrous_equivalence_with_shifted_bn_state():
+    """Equivalence must hold for any BN state, not only the initial one.
+
+    With non-zero BN shift and running mean, BN+ReLU maps a zero to a
+    non-zero value, so this fails unless the multigrid phase masks sit
+    between the ReLU and the transposed conv.
+    """
+    x = np.random.default_rng(3).normal(
+        size=(1, 3, 129, 129)).astype(np.float32)
+    n32 = Network(_toy_pair(32, True), seed=0)
+    n16 = Network(_toy_pair(16, True), seed=0)
+    rng = np.random.default_rng(11)
+    for name, p in n32.params.items():
+        if name.endswith(".beta"):
+            p.data[:] = rng.normal(0.0, 0.1, size=p.data.shape)
+        elif name.endswith(".gamma"):
+            p.data[:] = rng.uniform(0.5, 1.5, size=p.data.shape)
+    for name, v in n32.stats.items():
+        if name.endswith(".running_mean"):
+            v[:] = rng.normal(0.0, 0.1, size=v.shape)
+        else:
+            v[:] = rng.uniform(0.5, 2.0, size=v.shape)
+    copy_shared(n32, n16)
+    d32_16 = atrous_equivalence_check(n32, n16, x)
+    assert d32_16 < 1e-4, d32_16
+    print(f"[ 6] PASS feature equivalence 32->16 {d32_16:.1e} (<1e-4) "
+          f"with shifted BN state")
+
+
 def test_c07_rf_preserved_by_conversion():
     t0 = time.perf_counter()
     g = build_classifier(toy_config(8, num_classes=5), input_hw=(129, 129))

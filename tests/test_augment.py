@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sunet.augment import (AugmentConfig, augment_sample, resize_bilinear,
-                           resize_nearest, rotate_pair, sample_rng)
+from sunet.augment import (AugmentConfig, _pad_to, augment_sample,
+                           resize_bilinear, resize_nearest, rotate_pair,
+                           sample_rng)
 from sunet.io import DataError
 
 
@@ -111,3 +112,67 @@ def test_config_validation():
         AugmentConfig(scale_range=(0.0, 1.0))
     with pytest.raises(DataError):
         AugmentConfig(crop_hw=(0, 4))
+
+
+def full_frame_reference(img, mask, cfg, rng):
+    """augment_sample spelled out: rotate the whole frame, then crop."""
+    scale = float(rng.uniform(cfg.scale_range[0], cfg.scale_range[1]))
+    angle = float(rng.uniform(-cfg.max_rotate, cfg.max_rotate))
+    h, w = mask.shape
+    out_hw = (max(1, int(round(h * scale))), max(1, int(round(w * scale))))
+    if out_hw != (h, w):
+        img = resize_bilinear(img, out_hw)
+        mask = resize_nearest(mask, out_hw)
+    if angle != 0.0:
+        img, mask = rotate_pair(img, mask, angle, cfg.ignore_index)
+    img, mask = _pad_to(img, mask, cfg.crop_hw, cfg.ignore_index)
+    ph, pw = mask.shape
+    ch, cw = cfg.crop_hw
+    y0 = int(rng.integers(0, ph - ch + 1))
+    x0 = int(rng.integers(0, pw - cw + 1))
+    img = img[:, y0:y0 + ch, x0:x0 + cw]
+    mask = mask[y0:y0 + ch, x0:x0 + cw]
+    if rng.random() < cfg.hflip_prob:
+        img = img[:, :, ::-1]
+        mask = mask[:, ::-1]
+    return img, mask
+
+
+WINDOW_CONFIGS = [
+    # square crop, the training config's ranges
+    AugmentConfig(crop_hw=(16, 16), scale_range=(0.5, 2.0), max_rotate=10.0),
+    # non-square crop and a wide rotation
+    AugmentConfig(crop_hw=(12, 21), scale_range=(0.7, 1.6), max_rotate=30.0),
+    # scales that force padding on one or both axes
+    AugmentConfig(crop_hw=(20, 14), scale_range=(0.3, 0.9), max_rotate=10.0),
+    # angle 0 on every draw
+    AugmentConfig(crop_hw=(10, 18), scale_range=(0.5, 2.0), max_rotate=0.0),
+]
+
+
+@pytest.mark.parametrize("cfg", WINDOW_CONFIGS)
+def test_window_rotation_matches_full_frame_reference(cfg):
+    rng = np.random.default_rng(42)
+    for i in range(60):
+        # some images are smaller than the crop before any scaling
+        h, w = int(rng.integers(6, 40)), int(rng.integers(6, 40))
+        img, mask = sample_pair(h, w, seed=i)
+        got = augment_sample(img, mask, cfg, sample_rng(5, i))
+        want = full_frame_reference(img, mask, cfg, sample_rng(5, i))
+        assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
+        assert np.array_equal(got[0], want[0]), (cfg, h, w, i)
+        assert np.array_equal(got[1], want[1]), (cfg, h, w, i)
+
+
+def test_rotate_pair_window_is_crop_of_full_rotation():
+    img, mask = sample_pair(23, 31)
+    full_img, full_mask = rotate_pair(img, mask, 17.0)
+    win_img, win_mask = rotate_pair(img, mask, 17.0, window=(3, 5, 11, 20))
+    assert np.array_equal(win_img, full_img[:, 3:14, 5:25])
+    assert np.array_equal(win_mask, full_mask[3:14, 5:25])
+
+
+def test_rotate_pair_rejects_window_outside_frame():
+    img, mask = sample_pair(10, 10)
+    with pytest.raises(DataError):
+        rotate_pair(img, mask, 5.0, window=(4, 0, 8, 8))

@@ -58,6 +58,59 @@ def test_checkpoint_bad_magic(tmp_path):
         sio.read_checkpoint(p)
 
 
+def _entries(seed):
+    rng = np.random.default_rng(seed)
+    return {"param/a.w": rng.normal(size=(4, 3, 3, 3)).astype(np.float32),
+            "stat/a.running_mean": rng.normal(size=(1, 4, 1, 1))}
+
+
+def test_checkpoint_write_crash_keeps_previous(tmp_path, monkeypatch):
+    p = tmp_path / "checkpoint.sunc"
+    old = _entries(0)
+    sio.write_checkpoint(p, old, iteration=3, graph_digest="cd" * 32)
+
+    class Crash(Exception):
+        pass
+
+    class CrashingFile:
+        """Passes the header through, then dies on the entry table."""
+        def __init__(self, fh):
+            self.fh, self.calls = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.calls += 1
+            if self.calls > 3:
+                raise Crash("process died mid-write")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(sio, "open", lambda *a, **k: CrashingFile(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(Crash):
+        sio.write_checkpoint(p, _entries(1), iteration=4, graph_digest="cd" * 32)
+    monkeypatch.undo()
+
+    back, iteration, _ = sio.read_checkpoint(p)
+    assert iteration == 3
+    for k in old:
+        assert np.array_equal(back[k], old[k])
+    assert [f.name for f in tmp_path.iterdir()] == ["checkpoint.sunc"]
+
+
+@pytest.mark.parametrize("cut", [6, 17, 40, 80, 100])
+def test_checkpoint_truncated_header_is_data_error(tmp_path, cut):
+    p = tmp_path / "c.sunc"
+    sio.write_checkpoint(p, _entries(0), iteration=1, graph_digest="ef" * 32)
+    p.write_bytes(p.read_bytes()[:cut])
+    with pytest.raises(DataError, match="c.sunc"):
+        sio.read_checkpoint(p)
+
+
 def test_ppm_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     img = rng.integers(0, 256, size=(9, 7, 3), dtype=np.uint8)

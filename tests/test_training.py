@@ -1,5 +1,6 @@
 """Training loop: determinism, checkpoints, and loss behaviour."""
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,18 @@ def cfg(iters, lr=0.5, batch=2, seed=0, **kw):
     opt = OptimizerConfig(lr0=lr, momentum=0.9, weight_decay=0.0,
                           batch_size=batch)
     return TrainConfig(iters=iters, optimizer=opt, seed=seed, **kw)
+
+
+def conv_graph(hw=(32, 32), classes=2, width=16):
+    """Two 3x3 convs around BN+ReLU: the tape dominates the memory."""
+    g = NetworkGraph(3, hw)
+    g.add("c1", "conv", ["input"], cin=3, cout=width, k=(3, 3), s=(1, 1),
+          d=(1, 1), p=(1, 1), bias=False)
+    g.add("bn", "bn", ["c1"], c=width, decay=0.99, eps=1e-5)
+    g.add("relu", "relu", ["bn"])
+    g.add("cls", "conv", ["relu"], cin=width, cout=classes, k=(3, 3),
+          s=(1, 1), d=(1, 1), p=(1, 1), bias=True)
+    return g
 
 
 def test_config_validation():
@@ -240,3 +253,20 @@ def test_resume_matches_straight_run(tmp_path):
         tail.append(float(loss.data.reshape(())))
     want = [r[2] for r in rf["rows"][3:]]
     assert tail == pytest.approx(want, abs=1e-12)
+
+
+def test_previous_step_tape_freed_before_next_batch():
+    """Later iterations peak like the first: only one tape is alive."""
+    ds = separable_dataset(n=4, hw=(32, 32))
+
+    def peak(iters):
+        net = Network(conv_graph(), seed=0)
+        tracemalloc.start()
+        try:
+            train(net, ds, cfg(iters, lr=0.01, batch=4))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, three = peak(1), peak(3)
+    assert three <= 1.15 * one, (one, three)
