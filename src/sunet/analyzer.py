@@ -16,6 +16,7 @@ import numpy as np
 
 from .graph import GraphError, NetworkGraph
 from .io import write_pgm, write_tensor
+from .runtime import param_shapes
 from .tensor import Tensor, no_grad
 
 
@@ -34,19 +35,9 @@ class RFState(NamedTuple):
 def param_counts(graph: NetworkGraph) -> dict[str, int]:
     """Per-node learnable parameter element counts."""
     counts: dict[str, int] = {}
-    for node in graph.nodes:
-        a = node.attrs
-        if node.kind in ("conv", "tconv"):
-            n = a["cin"] * a["cout"] * a["k"][0] * a["k"][1]
-            if a.get("bias"):
-                n += a["cout"]
-        elif node.kind == "linear":
-            n = a["cin"] * a["cout"] + (a["cout"] if a.get("bias") else 0)
-        elif node.kind == "bn":
-            n = 2 * a["c"]
-        else:
-            continue
-        counts[node.name] = n
+    for key, shape in param_shapes(graph).items():
+        node = key.rsplit(".", 1)[0]
+        counts[node] = counts.get(node, 0) + int(np.prod(shape))
     return counts
 
 
@@ -79,7 +70,11 @@ def receptive_field(graph: NetworkGraph, hw: tuple[int, int] | None = None
     transposed layers divide the jump first. Merge nodes take the
     element-wise max of rf and require equal jumps.
     """
-    shapes = graph.infer_shapes(hw)
+    return _fields(graph, graph.infer_shapes(hw))
+
+
+def _fields(graph: NetworkGraph, shapes) -> dict[str, tuple[RFState, RFState]]:
+    """receptive_field over already inferred node shapes."""
     states: dict[str, tuple[RFState, RFState]] = {}
     one = Fraction(1)
 
@@ -152,15 +147,10 @@ def spatial_trace(graph: NetworkGraph, hw: tuple[int, int] | None = None
     return [(n.tags["stage"], shapes[n.name]) for n in graph.tagged("stage")]
 
 
-def _stage_rows(graph: NetworkGraph, hw) -> list[tuple[str, str, tuple[int, int, int]]]:
-    shapes = graph.infer_shapes(hw)
-    return [(n.tags["stage"], n.name, shapes[n.name]) for n in graph.tagged("stage")]
-
-
 def analyze(graph: NetworkGraph, hw: tuple[int, int] | None = None) -> dict:
     """Full static report: per-node rows plus totals and the stage trace."""
     shapes = graph.infer_shapes(hw)
-    fields = receptive_field(graph, hw)
+    fields = _fields(graph, shapes)
     params = param_counts(graph)
     rows = []
     for node in graph.nodes:
@@ -171,6 +161,7 @@ def analyze(graph: NetworkGraph, hw: tuple[int, int] | None = None) -> dict:
             "out": (c, oh, ow), "params": params.get(node.name, 0),
             "rf": (h.rf, w.rf), "jump": (h.jump, w.jump),
         })
+    stages = [(n.tags["stage"], n.name, shapes[n.name]) for n in graph.tagged("stage")]
     return {
         "input": (graph.in_channels,) + tuple(hw or graph.in_hw),
         "kind": graph.meta.get("kind", "?"),
@@ -178,8 +169,8 @@ def analyze(graph: NetworkGraph, hw: tuple[int, int] | None = None) -> dict:
         "total_params": sum(params.values()),
         "layers": count_layers(graph),
         "skip_layers": count_skip_layers(graph),
-        "trace": spatial_trace(graph, hw),
-        "stages": _stage_rows(graph, hw),
+        "trace": [(stage, shape) for stage, _, shape in stages],
+        "stages": stages,
     }
 
 

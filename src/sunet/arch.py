@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import GraphError, NetworkGraph, config_to_meta
-from .tensor import conv_out_size
 from .unet import BN_DECAY, BN_EPS, add_module, bn_relu_conv
 
 
@@ -109,14 +108,12 @@ def build_classifier(cfg: SUNetConfig, input_hw: tuple[int, int] = (224, 224),
     g.add("conv1", "conv", ["input"], cin=in_channels, cout=cfg.stem_channels,
           k=(7, 7), s=(2, 2), d=(1, 1), p=(3, 3), bias=False,
           stage="conv1", level=1)
-    hw = (conv_out_size(h, 7, 2, 1, 3), conv_out_size(w, 7, 2, 1, 3))
     a = bn_relu_conv(g, "res.a", "conv1", cfg.stem_channels, cfg.stem_out, s=2)
     b = bn_relu_conv(g, "res.b", a, cfg.stem_out, cfg.stem_out)
     g.add("res.skip", "conv", ["conv1"], cin=cfg.stem_channels,
           cout=cfg.stem_out, k=(1, 1), s=(2, 2), d=(1, 1), p=(0, 0),
           bias=False, role="skip")
     cur = g.add("res.out", "add", [b, "res.skip"], stage="res", level=2)
-    hw = (conv_out_size(hw[0], 3, 2, 1, 1), conv_out_size(hw[1], 3, 2, 1, 1))
 
     cin = cfg.stem_out
     for bi, blk in enumerate(cfg.blocks, start=1):
@@ -124,12 +121,9 @@ def build_classifier(cfg: SUNetConfig, input_hw: tuple[int, int] = (224, 224),
             cur = g.add(f"t{bi - 1}", "avg_pool", [cur], window=(2, 2),
                         s=(2, 2), d=(1, 1), pad=(0, 0, 0, 0),
                         stage=f"transition{bi - 1}")
-            hw = ((hw[0] - 2) // 2 + 1, (hw[1] - 2) // 2 + 1)
-            if hw[0] < 1 or hw[1] < 1:
-                raise GraphError(f"node 't{bi - 1}': input too small to pool")
         for mi in range(1, blk.modules + 1):
             cur = add_module(g, f"b{bi}.m{mi}", cur, cin, blk.width,
-                             blk.out_channels, hw, trimmed=blk.trimmed)
+                             blk.out_channels, trimmed=blk.trimmed)
             cin = blk.out_channels
         g.tag(cur, stage=f"block{bi}", level=2 + bi)
 
@@ -138,4 +132,5 @@ def build_classifier(cfg: SUNetConfig, input_hw: tuple[int, int] = (224, 224),
     g.add("head.gap", "gap", ["head.relu"], stage="pool")
     g.add("head.fc", "linear", ["head.gap"], cin=cin, cout=cfg.num_classes,
           bias=True)
+    g.infer_shapes()  # reject a declared input size the graph cannot run at
     return g

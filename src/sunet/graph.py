@@ -16,12 +16,15 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .tensor import conv_out_size, tconv_out_size
+from .tensor import conv_out_size, tconv_output_padding
 
 GRAPH_HEADER = "sunet-graph 1"
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 _TAG_KEYS = ("stage", "level", "role")
 
+# A tconv node takes two inputs: the tensor it upsamples, then the node
+# whose spatial extent it restores. Its output padding is derived from
+# the two extents wherever the graph runs, so it runs at any input size.
 KINDS = ("input", "conv", "tconv", "bn", "relu", "avg_pool", "gap",
          "linear", "add", "concat", "upsample", "grid_mask")
 
@@ -61,6 +64,9 @@ class NetworkGraph:
         for src in inputs:
             if src not in self.by_name:
                 raise GraphError(f"node {name!r}: input {src!r} not defined yet")
+        if kind == "tconv" and len(inputs) != 2:
+            raise GraphError(f"node {name!r}: tconv takes (source, extent) "
+                             f"inputs, got {len(inputs)}")
         tags = {k: attrs.pop(k) for k in _TAG_KEYS if k in attrs}
         node = Node(name, kind, inputs, attrs, tags)
         self.nodes.append(node)
@@ -213,12 +219,9 @@ def _node_shape(node: Node, src, in_hw) -> tuple[int, int, int]:
         c, h, w = src[0]
         if c != a["cin"]:
             raise GraphError(f"node {node.name!r}: expects {a['cin']} channels, got {c}")
-        kh, kw = a["k"]
-        sh, sw = a["s"]
-        dh, dw = a["d"]
-        ph, pw = a["p"]
-        oh, ow = a["op"]
-        return (a["cout"], tconv_out_size(h, kh, sh, dh, ph, oh), tconv_out_size(w, kw, sw, dw, pw, ow))
+        target = src[1][1:]
+        tconv_output_padding(node.name, (h, w), target, a["k"], a["s"], a["d"], a["p"])
+        return (a["cout"],) + target
     if kind in ("bn", "relu", "grid_mask"):
         return src[0]
     if kind == "avg_pool":
@@ -227,11 +230,8 @@ def _node_shape(node: Node, src, in_hw) -> tuple[int, int, int]:
         sh, sw = a["s"]
         dh, dw = a["d"]
         pt, pb, pl, pr = a["pad"]
-        ho = (h + pt + pb - dh * (wh - 1) - 1) // sh + 1
-        wo = (w + pl + pr - dw * (ww - 1) - 1) // sw + 1
-        if ho < 1 or wo < 1:
-            raise GraphError(f"node {node.name!r}: pooling collapsed {src[0]}")
-        return (c, ho, wo)
+        return (c, conv_out_size(h + pt + pb, wh, sh, dh, 0),
+                conv_out_size(w + pl + pr, ww, sw, dw, 0))
     if kind == "gap":
         return (src[0][0], 1, 1)
     if kind == "linear":

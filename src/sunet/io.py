@@ -45,13 +45,13 @@ def read_tensor(path) -> np.ndarray:
         blob = fh.read()
     if blob[:4] != TENSOR_MAGIC:
         raise DataError(f"{path}: not a tensor container (bad magic)")
-    version, code = struct.unpack_from("<IB", blob, 4)
+    version, code = _unpack("<IB", blob, 4, path)
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported container version {version}")
     dtype = _DTYPE_CODES.get(code)
     if dtype is None:
         raise DataError(f"{path}: unknown dtype code {code}")
-    shape = struct.unpack_from("<4Q", blob, 9)
+    shape = _unpack("<4Q", blob, 9, path)
     start = 9 + 32
     expect = int(np.prod(shape)) * dtype.itemsize
     if len(blob) - start != expect:
@@ -110,7 +110,7 @@ def _unpack(fmt: str, blob: bytes, pos: int, path) -> tuple:
     try:
         return struct.unpack_from(fmt, blob, pos)
     except struct.error:
-        raise DataError(f"{path}: header or entry table is truncated") from None
+        raise DataError(f"{path}: header is truncated") from None
 
 
 def read_checkpoint(path):

@@ -10,7 +10,7 @@ import numpy as np
 
 from .augment import resize_bilinear
 from .data import Dataset, normalize_image
-from .runtime import Network
+# not called here; bench/tracing.py wraps both as metrics attributes
 from .segment import copy_shared, rebuild_for_input
 from .tensor import no_grad
 
@@ -95,39 +95,20 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
-def _net_for_extent(net, hw: tuple[int, int], cache: dict):
-    """The network rebuilt for one input extent, parameters shared."""
-    key = (int(hw[0]), int(hw[1]))
-    got = cache.get(key)
-    if got is None:
-        g2 = rebuild_for_input(net.graph, key)
-        if g2 is net.graph:
-            got = net
-        else:
-            got = Network(g2, dtype=net.dtype)
-            copy_shared(net, got)
-        cache[key] = got
-    return got
-
-
 def multi_scale_inference(net, image: np.ndarray, scales=(1.0,),
-                          flip: bool = False, cache: dict | None = None) -> np.ndarray:
+                          flip: bool = False) -> np.ndarray:
     """Average class probabilities over scaled (and mirrored) forwards.
 
     image is a normalized float32 (c, h, w) array. Each copy is resized
-    bilinearly, forwarded in eval mode, softmaxed, resized back to the
-    original extent, un-mirrored if needed, and averaged in probability
-    space. Because upsample targets and transposed-conv padding depend
-    on the input extent, the graph is rebuilt per distinct scaled size
-    (cache persists those networks across calls). Returns a
+    bilinearly, forwarded through ``net`` itself in eval mode (graphs run
+    at any input size), softmaxed, resized back to the original extent,
+    un-mirrored if needed, and averaged in probability space. Returns a
     (num_classes, h, w) float64 map.
     """
     if len(scales) == 0:
         raise EvalError("need at least one scale")
     if any(s <= 0 for s in scales):
         raise EvalError(f"scales must be positive, got {tuple(scales)}")
-    if cache is None:
-        cache = {}
     c, h, w = image.shape
     total = None
     count = 0
@@ -138,9 +119,8 @@ def multi_scale_inference(net, image: np.ndarray, scales=(1.0,),
         x = image[:, :, ::-1] if mirrored else image
         hw = (max(1, int(round(h * s))), max(1, int(round(w * s))))
         x = resize_bilinear(np.ascontiguousarray(x), hw)
-        model = _net_for_extent(net, hw, cache)
         with no_grad():
-            out = model.forward(x[None], training=False)
+            out = net.forward(x[None], training=False)
         probs = softmax_probs(out.data[0])
         probs = resize_bilinear(probs, (h, w))
         if mirrored:
@@ -151,18 +131,17 @@ def multi_scale_inference(net, image: np.ndarray, scales=(1.0,),
 
 
 def predict_labels(net, image: np.ndarray, scales=(1.0,),
-                   flip: bool = False, cache: dict | None = None) -> np.ndarray:
+                   flip: bool = False) -> np.ndarray:
     """Argmax class map for one normalized image."""
-    probs = multi_scale_inference(net, image, scales, flip, cache)
+    probs = multi_scale_inference(net, image, scales, flip)
     return np.argmax(probs, axis=0).astype(np.uint8)
 
 
 def evaluate(net, dataset: Dataset, scales=(1.0,), flip: bool = False) -> dict:
     """mIoU of a network over a dataset; returns metrics plus the matrix."""
     cm = ConfusionMatrix(dataset.classes, dataset.ignore_index)
-    cache: dict = {}
     for img, mask in zip(dataset.images, dataset.masks):
-        pred = predict_labels(net, normalize_image(img), scales, flip, cache)
+        pred = predict_labels(net, normalize_image(img), scales, flip)
         cm.update(mask, pred)
     result = miou(cm)
     result["confusion"] = cm

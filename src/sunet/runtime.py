@@ -42,35 +42,23 @@ class Network:
         self._init_state(seed)
 
     def _init_state(self, seed: int) -> None:
+        """He-normal weights drawn in graph order, zero biases, unit BN."""
         rng = np.random.default_rng(seed)
-        for node in self.graph.nodes:
-            a = node.attrs
-            if node.kind in ("conv", "tconv"):
-                cin = a["cin"]
-                kh, kw = a["k"]
-                std = float(np.sqrt(2.0 / (cin * kh * kw)))
-                shape = ((a["cout"], cin, kh, kw) if node.kind == "conv"
-                         else (cin, a["cout"], kh, kw))
-                w = rng.normal(0.0, std, size=shape).astype(self.dtype)
-                self.params[f"{node.name}.w"] = Tensor(w, requires_grad=True)
-                if a.get("bias"):
-                    b = np.zeros((1, a["cout"], 1, 1), dtype=self.dtype)
-                    self.params[f"{node.name}.b"] = Tensor(b, requires_grad=True)
-            elif node.kind == "linear":
-                std = float(np.sqrt(2.0 / a["cin"]))
-                w = rng.normal(0.0, std, size=(a["cout"], a["cin"], 1, 1)).astype(self.dtype)
-                self.params[f"{node.name}.w"] = Tensor(w, requires_grad=True)
-                if a.get("bias"):
-                    b = np.zeros((1, a["cout"], 1, 1), dtype=self.dtype)
-                    self.params[f"{node.name}.b"] = Tensor(b, requires_grad=True)
-            elif node.kind == "bn":
-                c = a["c"]
-                self.params[f"{node.name}.gamma"] = Tensor(
-                    np.ones((1, c, 1, 1), dtype=self.dtype), requires_grad=True)
-                self.params[f"{node.name}.beta"] = Tensor(
-                    np.zeros((1, c, 1, 1), dtype=self.dtype), requires_grad=True)
-                self.stats[f"{node.name}.running_mean"] = np.zeros((1, c, 1, 1), dtype=np.float64)
-                self.stats[f"{node.name}.running_var"] = np.ones((1, c, 1, 1), dtype=np.float64)
+        for key, shape in param_shapes(self.graph).items():
+            node_name, part = key.rsplit(".", 1)
+            if part == "w":
+                # fan-in: c_in times the taps; a tconv weight is (c_in, c_out, kh, kw)
+                kind = self.graph.by_name[node_name].kind
+                cin = shape[0] if kind == "tconv" else shape[1]
+                std = float(np.sqrt(2.0 / (cin * shape[2] * shape[3])))
+                value = rng.normal(0.0, std, size=shape).astype(self.dtype)
+            elif part == "gamma":
+                value = np.ones(shape, dtype=self.dtype)
+                self.stats[f"{node_name}.running_mean"] = np.zeros(shape, dtype=np.float64)
+                self.stats[f"{node_name}.running_var"] = np.ones(shape, dtype=np.float64)
+            else:
+                value = np.zeros(shape, dtype=self.dtype)
+            self.params[key] = Tensor(value, requires_grad=True)
 
     # ------------------------------------------------------------- state
 
@@ -130,7 +118,13 @@ class Network:
             if node.kind == "input":
                 val = x
             else:
-                val = self._apply(node, [values[s] for s in node.inputs], training, in_hw)
+                # inputs are not checked against a declared size, so an
+                # extent that is too small first fails inside an op
+                try:
+                    val = self._apply(node, [values[s] for s in node.inputs],
+                                      training, in_hw)
+                except T.EngineError as exc:
+                    raise T.EngineError(f"node {node.name!r}: {exc}") from None
             values[node.name] = val
             if node.name in wanted:
                 grabbed[node.name] = val
@@ -151,10 +145,13 @@ class Network:
                             self.params.get(f"{node.name}.b"),
                             stride=a["s"], dilation=a["d"], padding=a["p"])
         if kind == "tconv":
+            op = T.tconv_output_padding(node.name, src[0].data.shape[2:],
+                                        src[1].data.shape[2:], a["k"], a["s"],
+                                        a["d"], a["p"])
             return T.conv2d_transpose(src[0], self.params[f"{node.name}.w"],
                                       self.params.get(f"{node.name}.b"),
                                       stride=a["s"], dilation=a["d"], padding=a["p"],
-                                      output_padding=a["op"])
+                                      output_padding=op)
         if kind == "bn":
             return T.batchnorm(src[0], self.params[f"{node.name}.gamma"],
                                self.params[f"{node.name}.beta"],

@@ -15,7 +15,7 @@ import numpy as np
 from .analyzer import receptive_field
 from .arch import SUNetConfig, build_classifier
 from .graph import GraphError, NetworkGraph, config_to_meta
-from .tensor import conv_out_size, no_grad
+from .tensor import no_grad
 from .unet import BN_DECAY, BN_EPS, add_module, bn_relu_conv
 
 # base dilation per block for each supported output stride
@@ -63,8 +63,7 @@ def to_segmentation(g: NetworkGraph, cfg: SegmentationConfig) -> NetworkGraph:
     net_cfg = SUNetConfig.from_dict(json.loads(g.meta["config"]))
     rates = _BLOCK_RATES[cfg.output_stride]
 
-    h, w = g.in_hw
-    out = NetworkGraph(g.in_channels, (h, w))
+    out = NetworkGraph(g.in_channels, g.in_hw)
     out.meta["kind"] = "segmentation"
     out.meta["config"] = g.meta["config"]
     out.meta["seg"] = config_to_meta(cfg.to_dict())
@@ -74,7 +73,6 @@ def to_segmentation(g: NetworkGraph, cfg: SegmentationConfig) -> NetworkGraph:
     out.add("conv1", "conv", ["input"], cin=g.in_channels,
             cout=net_cfg.stem_channels, k=(7, 7), s=(2, 2), d=(1, 1),
             p=(3, 3), bias=False, stage="conv1", level=1)
-    hw = (conv_out_size(h, 7, 2, 1, 3), conv_out_size(w, 7, 2, 1, 3))
     a = bn_relu_conv(out, "res.a", "conv1", net_cfg.stem_channels,
                      net_cfg.stem_out, s=2)
     b = bn_relu_conv(out, "res.b", a, net_cfg.stem_out, net_cfg.stem_out)
@@ -82,7 +80,6 @@ def to_segmentation(g: NetworkGraph, cfg: SegmentationConfig) -> NetworkGraph:
             cout=net_cfg.stem_out, k=(1, 1), s=(2, 2), d=(1, 1), p=(0, 0),
             bias=False, role="skip")
     cur = out.add("res.out", "add", [b, "res.skip"], stage="res", level=2)
-    hw = (conv_out_size(hw[0], 3, 2, 1, 1), conv_out_size(hw[1], 3, 2, 1, 1))
 
     cin = net_cfg.stem_out
     for bi, blk in enumerate(net_cfg.blocks, start=1):
@@ -93,7 +90,6 @@ def to_segmentation(g: NetworkGraph, cfg: SegmentationConfig) -> NetworkGraph:
                 cur = out.add(f"t{bi - 1}", "avg_pool", [cur], window=(2, 2),
                               s=(2, 2), d=(1, 1), pad=(0, 0, 0, 0),
                               stage=f"transition{bi - 1}")
-                hw = ((hw[0] - 2) // 2 + 1, (hw[1] - 2) // 2 + 1)
             else:
                 # dropped stride: same window on the retained dense grid,
                 # dilated to keep its taps on the original sample sites;
@@ -104,7 +100,7 @@ def to_segmentation(g: NetworkGraph, cfg: SegmentationConfig) -> NetworkGraph:
                               stage=f"transition{bi - 1}")
         for mi in range(1, blk.modules + 1):
             cur = add_module(out, f"b{bi}.m{mi}", cur, cin, blk.width,
-                             blk.out_channels, hw, trimmed=blk.trimmed,
+                             blk.out_channels, trimmed=blk.trimmed,
                              multigrid=cfg.multigrid and rate > 1, rate=rate)
             cin = blk.out_channels
         out.tag(cur, stage=f"block{bi}", level=2 + bi)
@@ -130,12 +126,12 @@ def to_segmentation(g: NetworkGraph, cfg: SegmentationConfig) -> NetworkGraph:
 
 
 def rebuild_for_input(graph: NetworkGraph, hw: tuple[int, int]) -> NetworkGraph:
-    """Re-derive the same architecture for a different input extent.
+    """Re-derive the same architecture for a different declared input extent.
 
-    Transposed-conv output padding and the upsample target are functions
-    of the input size, so a graph built at one extent cannot simply be
-    fed another; this rebuilds it from its stored configuration.
-    Returns the graph itself when the extent already matches.
+    Graphs already run at any input size, so inference never needs
+    this; it is the per-extent reference that tests compare one-graph
+    multi-scale inference against. Returns the graph itself when the
+    extent already matches.
     """
     hw = (int(hw[0]), int(hw[1]))
     if graph.in_hw == hw:

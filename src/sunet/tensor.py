@@ -154,6 +154,23 @@ def tconv_out_size(size: int, k: int, s: int, d: int, p: int, op: int) -> int:
     return out
 
 
+def tconv_output_padding(name: str, hw, target, k, s, d, p) -> tuple[int, int]:
+    """Output padding that lands a transposed conv of an hw input on target.
+
+    Per axis it is target - tconv_out_size(size, k, s, d, p, 0), which
+    must lie in [0, s): a transposed conv can only resolve the rounding
+    of the strided conv it undoes. Errors name the graph node ``name``.
+    """
+    op = tuple(t - tconv_out_size(n, kk, ss, dd, pp, 0)
+               for n, t, kk, ss, dd, pp in zip(hw, target, k, s, d, p))
+    if not all(0 <= o < ss for o, ss in zip(op, s)):
+        from .graph import GraphError  # graph imports this module
+        raise GraphError(
+            f"node {name!r}: cannot restore extent {tuple(target)} from "
+            f"{tuple(hw)} (output padding {op} outside [0, stride {tuple(s)}))")
+    return op
+
+
 def _pair(v):
     if isinstance(v, (tuple, list)):
         return int(v[0]), int(v[1])
@@ -390,10 +407,8 @@ def avg_pool2d(x: Tensor, window=2, stride=None, dilation=1, padding=(0, 0, 0, 0
     dh, dw = _pair(dilation)
     pt, pb, pl, pr = (int(v) for v in padding)
     n, c, h, w = x.data.shape
-    ho = (h + pt + pb - dh * (wh - 1) - 1) // sh + 1
-    wo = (w + pl + pr - dw * (ww - 1) - 1) // sw + 1
-    if ho < 1 or wo < 1:
-        raise EngineError(f"avg_pool2d output collapsed for input {x.data.shape}")
+    ho = conv_out_size(h + pt + pb, wh, sh, dh, 0)
+    wo = conv_out_size(w + pl + pr, ww, sw, dw, 0)
     xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr))) if (pt or pb or pl or pr) else x.data
     col = _im2col(xp, wh, ww, sh, sw, dh, dw, ho, wo)
     out = col.mean(axis=(2, 3), dtype=np.float64).astype(x.data.dtype)

@@ -73,7 +73,7 @@ def test_c03_layer_counts():
 def test_c04_fov_anchor_19():
     t0 = time.perf_counter()
     g = NetworkGraph(4, (48, 48))
-    add_module(g, "m", "input", 4, 4, 8, (48, 48))
+    add_module(g, "m", "input", 4, 4, 8)
     assert fov(g, "m.e2b.conv") == 19
 
     # gradient-support oracle: positive weights, eval-mode BN, one-hot

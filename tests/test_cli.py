@@ -146,6 +146,17 @@ def test_train_outputs(pipeline, capsys):
     assert len(lines.split("\n")) == 4
 
 
+def test_train_crop_off_the_graph_size(pipeline, tmp_path, capsys):
+    # the pipeline's graph is declared at 64x64
+    out = tmp_path / "run"
+    rc, _, _ = run(capsys, "train", "--graph", pipeline["seg"],
+                   "--data", pipeline["manifest"], "--out", str(out),
+                   "--iters", "2", "--batch-size", "2", "--crop", "48x40",
+                   "--seed", "2")
+    assert rc == 0
+    assert len(open(out / "loss.csv").read().strip().split("\n")) == 3
+
+
 def test_eval_prints_miou(pipeline, tmp_path, capsys):
     csv = str(tmp_path / "m.csv")
     rc, out, _ = run(capsys, "eval", "--graph", pipeline["seg"],

@@ -78,3 +78,18 @@ def test_infer_shapes_tracks_stride():
     assert shapes["input"] == (3, 16, 16)
     assert shapes["c1"] == (8, 8, 8)
     assert shapes["r1"] == (8, 8, 8)
+
+
+def test_tconv_restores_the_extent_of_its_second_input():
+    g = small_graph()
+    up = dict(cin=8, cout=3, k=(3, 3), s=(2, 2), d=(1, 1), p=(1, 1),
+              bias=False)
+    with pytest.raises(GraphError, match="'up'"):
+        g.add("up", "tconv", ["r1"], **up)
+    g.add("up", "tconv", ["r1", "input"], **up)
+    for hw in [(16, 16), (15, 15), (15, 18)]:
+        assert g.infer_shapes(hw)["up"] == (3, *hw)
+    # a stride-2 tconv of an 8x8 map reaches 15 or 16, never 8
+    g.add("bad", "tconv", ["r1", "r1"], **up)
+    with pytest.raises(GraphError, match="'bad'"):
+        g.infer_shapes()

@@ -111,6 +111,14 @@ def test_checkpoint_truncated_header_is_data_error(tmp_path, cut):
         sio.read_checkpoint(p)
 
 
+def test_tensor_truncated_header_is_data_error(tmp_path):
+    p = tmp_path / "t.sutn"
+    sio.write_tensor(p, np.zeros((1, 1, 2, 2), dtype=np.float32))
+    p.write_bytes(p.read_bytes()[:20])
+    with pytest.raises(DataError, match="t.sutn"):
+        sio.read_tensor(p)
+
+
 def test_ppm_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     img = rng.integers(0, 256, size=(9, 7, 3), dtype=np.uint8)

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from sunet.arch import build_classifier, toy_config
+from sunet.augment import resize_bilinear
 from sunet.metrics import (SCALE_PRESETS, ConfusionMatrix, EvalError, miou,
                            multi_scale_inference, predict_labels,
                            softmax_probs)
 from sunet.runtime import Network
-from sunet.segment import SegmentationConfig, to_segmentation
+from sunet.segment import (SegmentationConfig, copy_shared,
+                           rebuild_for_input, to_segmentation)
+from sunet.tensor import EngineError, no_grad
 
 
 def seg_net(hw=(64, 64), classes=3, seed=0):
@@ -143,6 +146,46 @@ def test_two_scale_average_hand_composition():
     one = multi_scale_inference(net, x, scales=(1.0,))
     half = multi_scale_inference(net, x, scales=(0.5,))
     assert np.allclose(both, (one + half) / 2.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("output_stride", [32, 16, 8])
+def test_one_network_matches_per_extent_rebuilds(output_stride):
+    # one network, declared at 64x64, serves scaled sizes 36x42, 53x64,
+    # 71x85 and 89x106; the reference forwards each through a graph
+    # rebuilt for that extent with the weights copied in
+    g = to_segmentation(build_classifier(toy_config(8), input_hw=(64, 64)),
+                        SegmentationConfig(num_classes=3,
+                                           output_stride=output_stride))
+    net = Network(g, seed=0)
+    rng = np.random.default_rng(9)
+    for key, stat in net.stats.items():
+        net.stats[key] = stat + rng.uniform(0.1, 0.5, size=stat.shape)
+    h, w = 71, 85
+    img = rng.normal(size=(3, h, w)).astype(np.float32)
+    scales = (0.5, 0.75, 1.0, 1.25)
+    probs = multi_scale_inference(net, img, scales, flip=True)
+
+    variants = [(s, m) for m in (False, True) for s in scales]
+    ref = 0.0
+    for s, mirrored in variants:
+        x = np.ascontiguousarray(img[:, :, ::-1] if mirrored else img)
+        hw = (round(h * s), round(w * s))
+        model = Network(rebuild_for_input(g, hw))
+        copy_shared(net, model)
+        with no_grad():
+            out = model.forward(resize_bilinear(x, hw)[None]).data[0]
+        p = resize_bilinear(softmax_probs(out), (h, w))
+        ref = ref + (p[:, :, ::-1] if mirrored else p)
+    assert np.array_equal(probs, ref / len(variants))
+
+
+def test_scale_too_small_names_the_node():
+    # 40x40 at scale 0.5 leaves a 1x1 map for the last 2x2 pool
+    net = Network(to_segmentation(
+        build_classifier(toy_config(8), input_hw=(64, 64)),
+        SegmentationConfig(num_classes=3, output_stride=32)))
+    with pytest.raises(EngineError, match="node 't3'"):
+        multi_scale_inference(net, np.zeros((3, 40, 40), np.float32), (0.5,))
 
 
 def test_scale_presets():

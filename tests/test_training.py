@@ -5,10 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sunet.arch import build_classifier, toy_config
+from sunet.augment import AugmentConfig
 from sunet.graph import GraphError, NetworkGraph
 from sunet.io import read_checkpoint, write_checkpoint
 from sunet.optim import SGD, OptimizerConfig, TrainError
 from sunet.runtime import Network
+from sunet.segment import SegmentationConfig, to_segmentation
 from sunet.training import (TrainConfig, load_checkpoint, loss_csv,
                             save_checkpoint, train)
 
@@ -270,3 +273,15 @@ def test_previous_step_tape_freed_before_next_batch():
 
     one, three = peak(1), peak(3)
     assert three <= 1.15 * one, (one, three)
+
+
+def test_train_on_crops_off_the_declared_size():
+    # the graph is declared at 64x64; the crops are 45x50
+    g = to_segmentation(build_classifier(toy_config(8), input_hw=(64, 64)),
+                        SegmentationConfig(num_classes=2, output_stride=16))
+    net = Network(g, seed=0)
+    aug = AugmentConfig(crop_hw=(45, 50), scale_range=(0.8, 1.2))
+    result = train(net, separable_dataset(n=4, hw=(64, 64)),
+                   cfg(2, lr=0.01, augment=aug))
+    assert len(result["rows"]) == 2
+    assert all(np.isfinite(loss) for _, _, loss in result["rows"])

@@ -55,11 +55,19 @@ def test_multigrid_rate1_equals_strided_layout():
     assert np.max(np.abs(a - b)) < 1e-5
 
 
-@pytest.mark.parametrize("hw", [(16, 16), (17, 17)])
-def test_output_padding_matches_parity(hw):
-    g = module_graph(8, 8, 8, hw=hw)
-    op = g.by_name["m.d1a.conv"].attrs["op"]
-    assert op == ((1, 1) if hw[0] % 2 == 0 else (0, 0))
+@pytest.mark.parametrize("hw", [(15, 15), (16, 16), (17, 17), (15, 18)])
+@pytest.mark.parametrize("trimmed", [False, True])
+@pytest.mark.parametrize("multigrid", [False, True])
+def test_module_built_once_restores_any_input_extent(hw, trimmed, multigrid):
+    # one module graph, declared at 16x16, fed odd, even and non-square
+    # inputs: every transposed conv derives its output padding from the
+    # extent it restores, so the output keeps the input extent
+    g = module_graph(8, 8, 8, hw=(16, 16), trimmed=trimmed,
+                     multigrid=multigrid, rate=2 if multigrid else 1)
+    net = Network(g, seed=0)
+    x = np.random.default_rng(0).normal(size=(1, 8, *hw)).astype(np.float32)
+    assert forward(net, x).shape == (1, 8, *hw)
+    assert g.infer_shapes(hw)[g.output] == (8, *hw)
 
 
 def test_full_module_block_names():
