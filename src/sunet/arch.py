@@ -1,9 +1,12 @@
-"""SUNet classifiers: block configurations, presets and graph assembly.
+"""SUNet backbones: block configurations, presets and graph assembly.
 
 A network is a 7x7 stem conv, one strided residual pair, four stacks of
-u-net modules separated by 2x2 average-pool transitions, and a
-BN-ReLU / global-average-pool / fully-connected head. Presets mirror the
-published SUNet-64 / SUNet-128 / SUNet-7-128 configurations.
+u-net modules separated by 2x2 average-pool transitions, and a BN-ReLU.
+``build_backbone`` emits that body at any per-block dilation rate; the
+classifier runs it at rate 1 and adds a global-average-pool /
+fully-connected head, and ``segment.to_segmentation`` runs the same
+body at the rates of its output stride. Presets mirror the published
+SUNet-64 / SUNet-128 / SUNet-7-128 configurations.
 """
 from __future__ import annotations
 
@@ -91,21 +94,21 @@ def toy_config(n: int, *, modules: tuple[int, int, int, int] = (1, 1, 1, 1),
                        stem_out=2 * n, num_classes=num_classes)
 
 
-def build_classifier(cfg: SUNetConfig, input_hw: tuple[int, int] = (224, 224),
-                     in_channels: int = 3) -> NetworkGraph:
-    """Materialize a classification graph for the given configuration."""
+def build_backbone(g: NetworkGraph, cfg: SUNetConfig,
+                   rates: tuple[int, int, int, int], multigrid: bool) -> int:
+    """Emit the stem, residual pair, four module blocks and head BN-ReLU.
+
+    Block i runs at dilation ``rates[i]``, in the multigrid module layout
+    when ``multigrid`` is set and its rate is above 1. Where the rate
+    doubles, the transition keeps its 2x2 window but drops the stride and
+    is dilated by the incoming rate, with tail padding to keep the extent.
+    Node names never depend on the rates, so every output stride shares
+    parameters with the classifier by name. Returns head.relu's channels.
+    """
     if len(cfg.blocks) != 4:
         raise GraphError(f"config {cfg.name!r}: expected 4 blocks, got {len(cfg.blocks)}")
-    h, w = int(input_hw[0]), int(input_hw[1])
-    if h < 8 or w < 8:
-        raise GraphError(f"config {cfg.name!r}: input {h}x{w} too small")
-    g = NetworkGraph(in_channels, (h, w))
-    g.meta["kind"] = "classifier"
-    g.meta["config"] = config_to_meta(cfg.to_dict())
-    g.meta["features"] = "head.relu"
-
     # stem: the first conv runs on raw pixels, so no pre-activation here
-    g.add("conv1", "conv", ["input"], cin=in_channels, cout=cfg.stem_channels,
+    g.add("conv1", "conv", ["input"], cin=g.in_channels, cout=cfg.stem_channels,
           k=(7, 7), s=(2, 2), d=(1, 1), p=(3, 3), bias=False,
           stage="conv1", level=1)
     a = bn_relu_conv(g, "res.a", "conv1", cfg.stem_channels, cfg.stem_out, s=2)
@@ -116,19 +119,36 @@ def build_classifier(cfg: SUNetConfig, input_hw: tuple[int, int] = (224, 224),
     cur = g.add("res.out", "add", [b, "res.skip"], stage="res", level=2)
 
     cin = cfg.stem_out
-    for bi, blk in enumerate(cfg.blocks, start=1):
+    for bi, (blk, rate) in enumerate(zip(cfg.blocks, rates), start=1):
         if bi > 1:
+            r_in = rates[bi - 2]
+            s, d, tail = (2, 1, 0) if rate == r_in else (1, r_in, r_in)
             cur = g.add(f"t{bi - 1}", "avg_pool", [cur], window=(2, 2),
-                        s=(2, 2), d=(1, 1), pad=(0, 0, 0, 0),
+                        s=(s, s), d=(d, d), pad=(0, tail, 0, tail),
                         stage=f"transition{bi - 1}")
         for mi in range(1, blk.modules + 1):
             cur = add_module(g, f"b{bi}.m{mi}", cur, cin, blk.width,
-                             blk.out_channels, trimmed=blk.trimmed)
+                             blk.out_channels, trimmed=blk.trimmed,
+                             multigrid=multigrid and rate > 1, rate=rate)
             cin = blk.out_channels
         g.tag(cur, stage=f"block{bi}", level=2 + bi)
 
     g.add("head.bn", "bn", [cur], c=cin, decay=BN_DECAY, eps=BN_EPS)
     g.add("head.relu", "relu", ["head.bn"])
+    return cin
+
+
+def build_classifier(cfg: SUNetConfig, input_hw: tuple[int, int] = (224, 224),
+                     in_channels: int = 3) -> NetworkGraph:
+    """Materialize a classification graph for the given configuration."""
+    h, w = int(input_hw[0]), int(input_hw[1])
+    if h < 8 or w < 8:
+        raise GraphError(f"config {cfg.name!r}: input {h}x{w} too small")
+    g = NetworkGraph(in_channels, (h, w))
+    g.meta["kind"] = "classifier"
+    g.meta["config"] = config_to_meta(cfg.to_dict())
+    g.meta["features"] = "head.relu"
+    cin = build_backbone(g, cfg, (1, 1, 1, 1), multigrid=False)
     g.add("head.gap", "gap", ["head.relu"], stage="pool")
     g.add("head.fc", "linear", ["head.gap"], cin=cin, cout=cfg.num_classes,
           bias=True)

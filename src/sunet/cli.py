@@ -143,7 +143,7 @@ def _network_from_files(args) -> Network:
 
 def _cmd_analyze(args) -> int:
     g = _graph_from_args(args)
-    report = analyze(g, args.input_hw if args.graph is None else None)
+    report = analyze(g, args.input_hw)
     sys.stdout.write(format_report(report))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

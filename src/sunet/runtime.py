@@ -9,20 +9,19 @@ from .tensor import Tensor
 
 
 def param_shapes(graph: NetworkGraph) -> dict[str, tuple[int, int, int, int]]:
-    """Learnable parameter shapes keyed by '<node>.<name>'."""
+    """Learnable parameter shapes keyed by '<node>.<name>'.
+
+    A conv, tconv or linear node holds a weight '.w' and, with bias set,
+    a '.b'; a tconv weight is (cin, cout, kh, kw), so it shares the conv
+    layout with the two channel axes swapped. A bn node holds '.gamma'
+    and '.beta'.
+    """
     shapes: dict[str, tuple[int, int, int, int]] = {}
     for node in graph.nodes:
         a = node.attrs
-        if node.kind == "conv":
-            shapes[f"{node.name}.w"] = (a["cout"], a["cin"], a["k"][0], a["k"][1])
-            if a.get("bias"):
-                shapes[f"{node.name}.b"] = (1, a["cout"], 1, 1)
-        elif node.kind == "tconv":
-            shapes[f"{node.name}.w"] = (a["cin"], a["cout"], a["k"][0], a["k"][1])
-            if a.get("bias"):
-                shapes[f"{node.name}.b"] = (1, a["cout"], 1, 1)
-        elif node.kind == "linear":
-            shapes[f"{node.name}.w"] = (a["cout"], a["cin"], 1, 1)
+        if node.kind in ("conv", "tconv", "linear"):
+            io = (a["cin"], a["cout"]) if node.kind == "tconv" else (a["cout"], a["cin"])
+            shapes[f"{node.name}.w"] = io + tuple(a.get("k", (1, 1)))
             if a.get("bias"):
                 shapes[f"{node.name}.b"] = (1, a["cout"], 1, 1)
         elif node.kind == "bn":
@@ -63,12 +62,8 @@ class Network:
     # ------------------------------------------------------------- state
 
     def decay_param_names(self) -> set[str]:
-        """Parameters subject to weight decay: conv/tconv/linear weights only."""
-        names = set()
-        for node in self.graph.nodes:
-            if node.kind in ("conv", "tconv", "linear"):
-                names.add(f"{node.name}.w")
-        return names
+        """Parameters subject to weight decay: the weights ('.w') only."""
+        return {key for key in self.params if key.endswith(".w")}
 
     def state_entries(self) -> dict[str, np.ndarray]:
         entries = {f"param/{k}": t.data for k, t in self.params.items()}

@@ -1,9 +1,12 @@
-"""Classification-to-segmentation rewriting and the dilation identity check.
+"""Classification-to-segmentation conversion and the dilation identity check.
 
-Conversion drops the pooled strides needed to reach a target output
-stride, dilates everything downstream so receptive fields are untouched,
-swaps the pooled classifier head for a 1x1 conv (optionally behind two
-degridding convs) and bilinearly upsamples logits back to input size.
+Conversion rebuilds the classifier's backbone with the same builder
+(``arch.build_backbone``) at the block rates of the target output
+stride: the pooled strides that stride does not allow are dropped and
+everything downstream is dilated, so receptive fields are untouched.
+Only the head is new: the pooled classifier head becomes a 1x1 conv
+(optionally behind two degridding convs), and logits are bilinearly
+upsampled back to input size.
 """
 from __future__ import annotations
 
@@ -13,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analyzer import receptive_field
-from .arch import SUNetConfig, build_classifier
+from .arch import SUNetConfig, build_backbone, build_classifier
 from .graph import GraphError, NetworkGraph, config_to_meta
 from .tensor import no_grad
-from .unet import BN_DECAY, BN_EPS, add_module, bn_relu_conv
+from .unet import BN_DECAY, BN_EPS, bn_relu_conv
 
 # base dilation per block for each supported output stride
 _BLOCK_RATES = {32: (1, 1, 1, 1), 16: (1, 1, 1, 2), 8: (1, 1, 2, 4)}
@@ -52,9 +55,9 @@ class SegmentationConfig:
 def to_segmentation(g: NetworkGraph, cfg: SegmentationConfig) -> NetworkGraph:
     """Rewrite a classifier graph into a segmentation graph.
 
-    The backbone is re-emitted with identical node names wherever the
-    strided structure survives, so classifier checkpoints load into the
-    converted network by plain name matching.
+    The backbone comes from the classifier's own builder, so it carries
+    the classifier's node names and classifier checkpoints load into the
+    converted network by plain name matching (``copy_shared``).
     """
     if cfg.output_stride not in _BLOCK_RATES:
         raise GraphError(f"unsupported output stride {cfg.output_stride}")
@@ -69,48 +72,11 @@ def to_segmentation(g: NetworkGraph, cfg: SegmentationConfig) -> NetworkGraph:
     out.meta["seg"] = config_to_meta(cfg.to_dict())
     out.meta["output_stride"] = str(cfg.output_stride)
     out.meta["features"] = "head.relu"
-
-    out.add("conv1", "conv", ["input"], cin=g.in_channels,
-            cout=net_cfg.stem_channels, k=(7, 7), s=(2, 2), d=(1, 1),
-            p=(3, 3), bias=False, stage="conv1", level=1)
-    a = bn_relu_conv(out, "res.a", "conv1", net_cfg.stem_channels,
-                     net_cfg.stem_out, s=2)
-    b = bn_relu_conv(out, "res.b", a, net_cfg.stem_out, net_cfg.stem_out)
-    out.add("res.skip", "conv", ["conv1"], cin=net_cfg.stem_channels,
-            cout=net_cfg.stem_out, k=(1, 1), s=(2, 2), d=(1, 1), p=(0, 0),
-            bias=False, role="skip")
-    cur = out.add("res.out", "add", [b, "res.skip"], stage="res", level=2)
-
-    cin = net_cfg.stem_out
-    for bi, blk in enumerate(net_cfg.blocks, start=1):
-        rate = rates[bi - 1]
-        if bi > 1:
-            r_in = rates[bi - 2]
-            if rate == r_in:
-                cur = out.add(f"t{bi - 1}", "avg_pool", [cur], window=(2, 2),
-                              s=(2, 2), d=(1, 1), pad=(0, 0, 0, 0),
-                              stage=f"transition{bi - 1}")
-            else:
-                # dropped stride: same window on the retained dense grid,
-                # dilated to keep its taps on the original sample sites;
-                # tail padding preserves extent, divisor stays 1/4
-                cur = out.add(f"t{bi - 1}", "avg_pool", [cur], window=(2, 2),
-                              s=(1, 1), d=(r_in, r_in),
-                              pad=(0, r_in, 0, r_in),
-                              stage=f"transition{bi - 1}")
-        for mi in range(1, blk.modules + 1):
-            cur = add_module(out, f"b{bi}.m{mi}", cur, cin, blk.width,
-                             blk.out_channels, trimmed=blk.trimmed,
-                             multigrid=cfg.multigrid and rate > 1, rate=rate)
-            cin = blk.out_channels
-        out.tag(cur, stage=f"block{bi}", level=2 + bi)
-
-    out.add("head.bn", "bn", [cur], c=cin, decay=BN_DECAY, eps=BN_EPS)
-    cur = out.add("head.relu", "relu", ["head.bn"])
-    final_rate = rates[-1]
+    cin = build_backbone(out, net_cfg, rates, cfg.multigrid)
+    cur = "head.relu"
     if cfg.degridding:
-        d1 = max(final_rate // 2, 1)
-        d2 = max(final_rate // 4, 1)
+        d1 = max(rates[-1] // 2, 1)
+        d2 = max(rates[-1] // 4, 1)
         cur = out.add("deg1.conv", "conv", [cur], cin=cin, cout=512,
                       k=(3, 3), s=(1, 1), d=(d1, d1), p=(d1, d1), bias=False)
         cur = bn_relu_conv(out, "deg2", cur, 512, 512, d=d2)

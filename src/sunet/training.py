@@ -7,6 +7,7 @@ so worker parallelism or restarts cannot reorder randomness.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from dataclasses import dataclass
@@ -33,7 +34,6 @@ class TrainConfig:
     seed: int = 0
     bn_eval: bool = False             # freeze running statistics
     checkpoint_every: int = 0         # 0 = final checkpoint only
-    ignore_index: int = 255
 
     def __post_init__(self):
         if self.iters < 0:
@@ -105,13 +105,20 @@ def _next_batch(order_rng, pending: list, n: int, batch: int) -> list[int]:
 def train(net: Network, dataset, cfg: TrainConfig, out_dir=None) -> dict:
     """Run the loop; returns {"rows": [(iter, lr, loss)], "checkpoint": path}.
 
-    dataset provides images (uint8 (3, h, w)), masks (uint8 (h, w)) and a
-    length. With out_dir set, writes loss.csv, periodic ckpt_NNNNNN.sunc
-    when checkpoint_every > 0, and a final checkpoint.sunc (which for a
-    0-iteration run is just the initialization).
+    dataset provides images (uint8 (3, h, w)), masks (uint8 (h, w)), a
+    length and ignore_index: the label the loss skips, and the one
+    augmentation fills uncovered positions with (it overrides the
+    config's). With out_dir set, writes loss.csv, periodic
+    ckpt_NNNNNN.sunc when checkpoint_every > 0, and a final
+    checkpoint.sunc (which for a 0-iteration run is just the
+    initialization).
     """
     if len(dataset) == 0:
         raise TrainError("empty dataset")
+    ignore = dataset.ignore_index
+    augment = cfg.augment
+    if augment is not None:
+        augment = dataclasses.replace(augment, ignore_index=ignore)
     opt = SGD(net.params, cfg.optimizer, decay_names=net.decay_param_names())
     rows = []
     if out_dir is not None:
@@ -129,8 +136,8 @@ def train(net: Network, dataset, cfg: TrainConfig, out_dir=None) -> dict:
             for j in _next_batch(order_rng, pending, n, bsz):
                 img = normalize_image(dataset.images[j])
                 mask = dataset.masks[j]
-                if cfg.augment is not None:
-                    img, mask = augment_sample(img, mask, cfg.augment,
+                if augment is not None:
+                    img, mask = augment_sample(img, mask, augment,
                                                sample_rng(cfg.seed, draw))
                     draw += 1
                 imgs.append(img)
@@ -143,7 +150,7 @@ def train(net: Network, dataset, cfg: TrainConfig, out_dir=None) -> dict:
             # instead of going back to the OS and being faulted in again
             out = loss = None
             out = net.forward(x, training=not cfg.bn_eval)
-            loss = softmax_cross_entropy(out, labels, cfg.ignore_index)
+            loss = softmax_cross_entropy(out, labels, ignore)
             lval = float(loss.data.reshape(()))
             if not math.isfinite(lval):
                 raise TrainError(f"non-finite loss {lval} at iteration {it}")

@@ -2,32 +2,29 @@
 
 A module is a small encoder-decoder unit that returns to the resolution
 of its input and carries an outer residual connection. Every conv inside
-is pre-activated (BN-ReLU-Conv). The same unit is emitted in two layouts:
+is pre-activated (BN-ReLU-Conv). The full module has two encoder/decoder
+levels (E1/E2, D2/D1) and feeds the concatenation of E1's output with
+D2's output into D1; the trimmed variant keeps one level and no concat.
 
-* strided: encoder convs downsample by 2, decoder transposed convs
-  restore the grid. This is the classification layout.
-* multigrid: all strides become 1 and each conv instead receives the
-  dilation of the grid it occupied in the strided layout (rate r at the
-  module grid, 2r one level down, 4r two levels down). A phase mask
-  between the ReLU and each transposed conv zeroes the positions that
-  did not exist in the strided layout, so the interleaved grids never
-  mix and the dilated module reproduces the strided module's values
-  exactly on the surviving subgrid, whatever the BN state.
+Both layouts come from one conv sequence. Each inner 3x3 conv sits at a
+grid level l (0 is the module's input grid, each level down halves it)
+and stays there, steps one level down (encoder) or one back up
+(decoder); the layout only decides what that means:
 
-The full module has two encoder/decoder levels (E1/E2, D2/D1) and feeds
-the concatenation of E1's output with D2's output into D1. The trimmed
-variant keeps a single level and drops the concatenation.
+* strided: a step is a stride of 2 (transposed on the way up) and every
+  3x3 conv runs at dilation ``rate``. This is the classification layout;
+  at ``rate > 1`` it is the ablation counterpart of multigrid, as it
+  subsamples features inside the module.
+* multigrid: every stride is 1 and a conv at level l runs at dilation
+  d = rate * 2**l, the spacing its grid had in the strided layout (for a
+  step, l is the finer level). A phase mask of period 2d between the
+  ReLU and each up-conv zeroes the positions the coarser grid lacked, so
+  the dilated module reproduces the strided module's values exactly on
+  the surviving subgrid, whatever the BN state.
 
 No builder needs the input size: each transposed conv names the node
-whose extent it restores, and its output padding is derived from the
-two extents when the graph runs (in the strided layout 1 when the
-restored extent is even, 0 when it is odd). A module built once
-therefore runs at every input size.
-
-In the strided layout with ``rate > 1`` the strides are kept and every
-3x3 conv simply runs at a uniform dilation of ``rate``. That mode exists
-as the ablation counterpart of multigrid: it subsamples features inside
-the module, so it does not reproduce the full-resolution computation.
+whose extent it restores and derives its output padding from the two
+extents at run time, so a module built once runs at every input size.
 """
 from __future__ import annotations
 
@@ -68,49 +65,37 @@ def add_module(g: NetworkGraph, prefix: str, src: str, cin: int, width: int,
                rate: int = 1) -> str:
     """Append one u-net module to the graph; returns its output node name.
 
-    Each transposed conv takes the node whose extent it restores as a
-    second input (``e1b`` for D2, ``bin`` for D1), so the module output
-    keeps the extent of ``src`` at any input size, odd or even, in both
-    layouts.
+    The transposed convs restore the extents of ``e1b`` (D2) and ``bin``
+    (D1), so the output keeps the extent of ``src`` at any input size.
     """
     if width < 1 or cout < 1:
         raise GraphError(f"module {prefix!r}: bad widths {width}/{cout}")
     if rate < 1:
         raise GraphError(f"module {prefix!r}: dilation rate {rate} < 1")
-    r = rate
+
+    def conv(name: str, feed: str, level: int, *, down: bool = False,
+             restore: str | None = None, c: int = width) -> str:
+        # level: the conv's grid, the finer one for a step; down steps to
+        # level + 1, restore steps up from it
+        if multigrid:
+            s, d = 1, rate * 2 ** level
+            mask = (f"{prefix}.{name[:2]}mask", 2 * d, rate) if restore else None
+        else:
+            s, d, mask = (2 if down or restore else 1), rate, None
+        return bn_relu_conv(g, f"{prefix}.{name}", feed, c, width, s=s, d=d,
+                            restore=restore, mask=mask)
+
     bin_ = bn_relu_conv(g, f"{prefix}.bin", src, cin, width, k=1)
-    if multigrid:
-        e1a = bn_relu_conv(g, f"{prefix}.e1a", bin_, width, width, d=r)
-        e1b = bn_relu_conv(g, f"{prefix}.e1b", e1a, width, width, d=2 * r)
-        if trimmed:
-            d1a = bn_relu_conv(g, f"{prefix}.d1a", e1b, width, width, d=r,
-                               restore=bin_, mask=(f"{prefix}.d1mask", 2 * r, r))
-        else:
-            e2a = bn_relu_conv(g, f"{prefix}.e2a", e1b, width, width, d=2 * r)
-            e2b = bn_relu_conv(g, f"{prefix}.e2b", e2a, width, width, d=4 * r)
-            d2a = bn_relu_conv(g, f"{prefix}.d2a", e2b, width, width, d=2 * r,
-                               restore=e1b, mask=(f"{prefix}.d2mask", 4 * r, r))
-            d2b = bn_relu_conv(g, f"{prefix}.d2b", d2a, width, width, d=2 * r)
-            cat = g.add(f"{prefix}.cat", "concat", [e1b, d2b])
-            d1a = bn_relu_conv(g, f"{prefix}.d1a", cat, 2 * width, width, d=r,
-                               restore=bin_, mask=(f"{prefix}.d1mask", 2 * r, r))
-        d1b = bn_relu_conv(g, f"{prefix}.d1b", d1a, width, width, d=r)
-    else:
-        e1a = bn_relu_conv(g, f"{prefix}.e1a", bin_, width, width, s=2, d=r)
-        e1b = bn_relu_conv(g, f"{prefix}.e1b", e1a, width, width, d=r)
-        if trimmed:
-            d1a = bn_relu_conv(g, f"{prefix}.d1a", e1b, width, width, s=2,
-                               d=r, restore=bin_)
-        else:
-            e2a = bn_relu_conv(g, f"{prefix}.e2a", e1b, width, width, s=2, d=r)
-            e2b = bn_relu_conv(g, f"{prefix}.e2b", e2a, width, width, d=r)
-            d2a = bn_relu_conv(g, f"{prefix}.d2a", e2b, width, width, s=2,
-                               d=r, restore=e1b)
-            d2b = bn_relu_conv(g, f"{prefix}.d2b", d2a, width, width, d=r)
-            cat = g.add(f"{prefix}.cat", "concat", [e1b, d2b])
-            d1a = bn_relu_conv(g, f"{prefix}.d1a", cat, 2 * width, width, s=2,
-                               d=r, restore=bin_)
-        d1b = bn_relu_conv(g, f"{prefix}.d1b", d1a, width, width, d=r)
+    e1a = conv("e1a", bin_, 0, down=True)
+    up = e1b = conv("e1b", e1a, 1)
+    if not trimmed:
+        e2a = conv("e2a", e1b, 1, down=True)
+        e2b = conv("e2b", e2a, 2)
+        d2a = conv("d2a", e2b, 1, restore=e1b)
+        d2b = conv("d2b", d2a, 1)
+        up = g.add(f"{prefix}.cat", "concat", [e1b, d2b])
+    d1a = conv("d1a", up, 0, restore=bin_, c=width if trimmed else 2 * width)
+    d1b = conv("d1b", d1a, 0)
     bout = bn_relu_conv(g, f"{prefix}.bout", d1b, width, cout, k=1)
     if cin == cout:
         skip = src

@@ -226,6 +226,37 @@ def test_c06_atrous_equivalence_with_shifted_bn_state():
           f"with shifted BN state")
 
 
+def test_c06_atrous_equivalence_after_training(tmp_path):
+    """Equivalence must hold for trained state, not only a fresh one.
+
+    A toy8 OS16 network trains a few iterations with BN in training mode;
+    copy_shared then moves its weights and running statistics into
+    OS32/16/8 networks, which must agree on the subsampled grid.
+    """
+    spec = SyntheticSpec(canvas_hw=(64, 64), classes=5, seed=7)
+    ds = Dataset(generate_synthetic(spec, 8, str(tmp_path / "data")))
+    g = build_classifier(toy_config(8, num_classes=5), input_hw=(64, 64))
+    trained = Network(to_segmentation(g, SegmentationConfig(
+        num_classes=5, output_stride=16)), seed=0)
+    opt = OptimizerConfig(lr0=0.05, momentum=0.9, weight_decay=1e-4,
+                          batch_size=4)
+    train(trained, ds, TrainConfig(iters=4, optimizer=opt, seed=0))
+    shift = max(float(np.max(np.abs(v))) for k, v in trained.stats.items()
+                if k.endswith(".running_mean"))
+    assert shift > 1e-2, shift
+
+    x = np.random.default_rng(3).normal(
+        size=(1, 3, 129, 129)).astype(np.float32)
+    nets = {os_: Network(_toy_pair(os_, True), seed=1) for os_ in (32, 16, 8)}
+    for net in nets.values():
+        copy_shared(trained, net)
+    d32_16 = atrous_equivalence_check(nets[32], nets[16], x)
+    d16_8 = atrous_equivalence_check(nets[16], nets[8], x)
+    assert d32_16 < 1e-4 and d16_8 < 1e-4, (d32_16, d16_8)
+    print(f"[ 6] PASS feature equivalence 32->16 {d32_16:.1e}, 16->8 "
+          f"{d16_8:.1e} (<1e-4) after 4 training iterations")
+
+
 def test_c07_rf_preserved_by_conversion():
     t0 = time.perf_counter()
     g = build_classifier(toy_config(8, num_classes=5), input_hw=(129, 129))

@@ -62,6 +62,17 @@ def test_analyze_csv(tmp_path, capsys):
     assert len(lines) > 100
 
 
+def test_analyze_graph_at_another_input_size(tmp_path, capsys):
+    path = str(tmp_path / "g.graph")
+    run(capsys, "build", "--toy", "8", "--input-hw", "64", "--out", path)
+    rc, out, _ = run(capsys, "analyze", "--graph", path, "--input-hw", "96")
+    assert rc == 0
+    assert "input: 3x96x96" in out
+    assert "trace: 48 24 24 12 12 6 6 3 3 1" in out
+    rc, out, _ = run(capsys, "analyze", "--graph", path)
+    assert "input: 3x64x64" in out
+
+
 def test_build_round_trip(tmp_path, capsys):
     path = str(tmp_path / "g.graph")
     rc, out, _ = run(capsys, "build", "--toy", "8", "--input-hw", "64",

@@ -176,3 +176,30 @@ def test_converted_forward_shapes_differ_only_spatially():
         net = Network(seg(base, os_, upsample=False), seed=0)
         out = net.forward(x, training=False)
         assert out.data.shape == (1, 5, want, want)
+
+
+# A checkpoint stores the digest of the graph it was written for and
+# loads only into a graph with that digest. Builder output that changes
+# these pins breaks every checkpoint of that architecture: update them
+# only on purpose and say which checkpoints stop loading.
+PINNED_DIGESTS = {
+    "classifier": "13e349fb943ccb317fdf1560c494546522e8b1a53f76f7e318a3d5b04ee3cfc9",
+    "os16-multigrid": "df074d642d824888608af98ab4a4d5052d45da787294cc9744676fcaf6fc65cc",
+    "os8-multigrid-degridding": "f02c5e17f535b82f748c32dd9a60e1cd7c30addc410d4a9d6a49527587861903",
+    "os8-strided": "d636f102992b09b20d92a9d7a37eecf780d573face087eb9391a930870386478",
+    "module-trimmed-multigrid-rate2": "a860d55792bd2c3b5c203cf4310e81ef7c44148089cf4fe11296ac90d61b9051",
+}
+
+
+def test_builder_digests_are_pinned():
+    from sunet.unet import module_graph
+    g = build_classifier(toy_config(8, num_classes=5), input_hw=(64, 64))
+    got = {
+        "classifier": g.digest,
+        "os16-multigrid": seg(g, 16).digest,
+        "os8-multigrid-degridding": seg(g, 8, degrid=True).digest,
+        "os8-strided": seg(g, 8, multigrid=False).digest,
+        "module-trimmed-multigrid-rate2": module_graph(
+            8, 4, 8, (16, 16), trimmed=True, multigrid=True, rate=2).digest,
+    }
+    assert got == PINNED_DIGESTS

@@ -25,9 +25,10 @@ def tiny_graph(hw=(8, 8), classes=2):
 
 
 class ListDataset:
-    def __init__(self, images, masks):
+    def __init__(self, images, masks, ignore_index=255):
         self.images = list(images)
         self.masks = list(masks)
+        self.ignore_index = ignore_index
 
     def __len__(self):
         return len(self.images)
@@ -285,3 +286,27 @@ def test_train_on_crops_off_the_declared_size():
                    cfg(2, lr=0.01, augment=aug))
     assert len(result["rows"]) == 2
     assert all(np.isfinite(loss) for _, _, loss in result["rows"])
+
+
+@pytest.mark.parametrize("augment", [
+    None,
+    # downscaled frames are padded and rotated: both fill with the label
+    AugmentConfig(crop_hw=(8, 8), scale_range=(0.5, 0.8), max_rotate=30.0),
+])
+def test_train_uses_the_dataset_ignore_label(augment):
+    base = separable_dataset(n=4)
+    masks = []
+    for m in base.masks:
+        m = m.copy()
+        m[0, :] = 254
+        masks.append(m)
+    ds = ListDataset(base.images, masks, ignore_index=254)
+    result = train(Network(tiny_graph(), seed=0), ds,
+                   cfg(3, lr=0.1, augment=augment))
+    assert all(np.isfinite(loss) for _, _, loss in result["rows"])
+    # every position ignored: the loss is zero, so 254 never reaches it
+    ds = ListDataset(base.images, [np.full_like(m, 254) for m in masks],
+                     ignore_index=254)
+    result = train(Network(tiny_graph(), seed=0), ds,
+                   cfg(2, lr=0.1, augment=augment))
+    assert [loss for _, _, loss in result["rows"]] == [0.0, 0.0]
