@@ -164,7 +164,8 @@ def generate_synthetic(spec: SyntheticSpec, count: int, out_dir: str,
 
 
 def load_manifest(path: str) -> DatasetManifest:
-    """Read a manifest.json; checks that every referenced file exists."""
+    """Read a manifest.json; checks that every referenced file exists and
+    that the ignore label lies above every class index and fits a mask byte."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -180,6 +181,11 @@ def load_manifest(path: str) -> DatasetManifest:
         raise DataError(f"{path}: malformed manifest ({exc})") from None
     if classes < 2:
         raise DataError(f"{path}: classes must be >= 2, got {classes}")
+    # masks are 8-bit, and a class index equal to the ignore label would
+    # silently leave that class out of the loss and the metric
+    if not classes <= ignore <= 255:
+        raise DataError(f"{path}: ignore_index must lie in [{classes}, 255] "
+                        f"(classes {classes}, 8-bit masks), got {ignore}")
     m = DatasetManifest(root, classes, ignore, split, entries)
     for i in range(len(m)):
         for p in (m.image_path(i), m.mask_path(i)):

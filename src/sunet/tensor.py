@@ -2,9 +2,18 @@
 
 Every tensor is an (n, c, h, w) numpy array in float32 or float64.
 Operators build a tape of backward closures; Tensor.backward() walks it
-in reverse topological order. Statistic reductions (batch norm moments,
-pooling means, loss means) accumulate in float64 regardless of the
-tensor dtype; matrix contractions run in the tensor dtype through BLAS.
+in reverse topological order. Statistic reductions (batch norm moments
+and gradient sums, pooling sums, loss means) accumulate in float64
+regardless of the tensor dtype, over views or small buffers rather than
+float64 copies of whole activations; matrix contractions run in the
+tensor dtype through BLAS.
+
+Convolutions gather patches with _im2col and scatter them back with
+_col2im, both clipping each kernel tap to the unpadded input, so no
+padded copy is built. A 1x1, stride-1, unpadded conv (the pointwise
+path) skips both: its input is already the column matrix. Each conv
+keeps its column matrix on the tape for the weight gradient; batch norm
+keeps one centred copy of its input in training mode.
 """
 from __future__ import annotations
 
@@ -179,41 +188,70 @@ def _pair(v):
 
 # ------------------------------------------------------- im2col plumbing
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int,
-            dh: int, dw: int, ho: int, wo: int) -> np.ndarray:
-    """Gather (n, c, kh, kw, ho, wo) patches from a padded input."""
-    n, c = xp.shape[:2]
-    col = np.empty((n, c, kh, kw, ho, wo), dtype=xp.dtype)
-    for u in range(kh):
-        iu = u * dh
-        for v in range(kw):
-            jv = v * dw
-            col[:, :, u, v] = xp[:, :, iu:iu + sh * (ho - 1) + 1:sh,
-                                 jv:jv + sw * (wo - 1) + 1:sw]
+def _tap_range(off: int, s: int, size: int, out: int) -> tuple[slice, slice]:
+    """Output positions i in [0, out) whose tap off + i*s falls inside an
+    unpadded axis of length size, and the strided input slice they read."""
+    lo = max(0, -(off // s))
+    hi = min(out, (size - 1 - off) // s + 1)
+    if hi <= lo:
+        return slice(0, 0), slice(0, 0)
+    start = off + lo * s
+    return slice(lo, hi), slice(start, start + s * (hi - lo - 1) + 1, s)
+
+
+def _taps(h: int, w: int, ho: int, wo: int, kh: int, kw: int, sh: int, sw: int,
+          dh: int, dw: int, pt: int, pl: int):
+    """Yield (u, v, out_rows, out_cols, in_rows, in_cols) per kernel tap.
+
+    Tap (u, v) of output (i, j) reads input (i*sh + u*dh - pt,
+    j*sw + v*dw - pl). The slices are clipped to the unpadded input, so
+    outputs outside them see the zero padding without it being built.
+    """
+    rows = [_tap_range(u * dh - pt, sh, h, ho) for u in range(kh)]
+    cols = [_tap_range(v * dw - pl, sw, w, wo) for v in range(kw)]
+    for u, (oi, ii) in enumerate(rows):
+        for v, (oj, ij) in enumerate(cols):
+            yield u, v, oi, oj, ii, ij
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
+            dh: int, dw: int, pt: int, pl: int, ho: int, wo: int) -> np.ndarray:
+    """Gather (n, c, kh, kw, ho, wo) patches of x zero-padded by pt rows on
+    top and pl columns on the left (the far sides follow from ho, wo)."""
+    n, c, h, w = x.shape
+    col = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
+    for u, v, oi, oj, ii, ij in _taps(h, w, ho, wo, kh, kw, sh, sw, dh, dw, pt, pl):
+        dst = col[:, :, u, v]
+        dst[:, :, :oi.start] = 0
+        dst[:, :, oi.stop:] = 0
+        dst[:, :, oi, :oj.start] = 0
+        dst[:, :, oi, oj.stop:] = 0
+        dst[:, :, oi, oj] = x[:, :, ii, ij]
     return col
 
 
 def _col2im(col: np.ndarray, h: int, w: int, kh: int, kw: int, sh: int, sw: int,
             dh: int, dw: int, pt: int, pl: int) -> np.ndarray:
-    """Scatter-add (n, c, kh, kw, ho, wo) patches back to (n, c, h, w)."""
+    """Scatter-add (n, c, kh, kw, ho, wo) patches back to (n, c, h, w);
+    the adjoint of _im2col, dropping what lands in the padding."""
     n, c, _, _, ho, wo = col.shape
-    hp = max(h + 2 * pt, dh * (kh - 1) + sh * (ho - 1) + 1)
-    wp = max(w + 2 * pl, dw * (kw - 1) + sw * (wo - 1) + 1)
-    xp = np.zeros((n, c, hp, wp), dtype=col.dtype)
-    for u in range(kh):
-        iu = u * dh
-        for v in range(kw):
-            jv = v * dw
-            xp[:, :, iu:iu + sh * (ho - 1) + 1:sh,
-               jv:jv + sw * (wo - 1) + 1:sw] += col[:, :, u, v]
-    return xp[:, :, pt:pt + h, pl:pl + w]
+    x = np.zeros((n, c, h, w), dtype=col.dtype)
+    for u, v, oi, oj, ii, ij in _taps(h, w, ho, wo, kh, kw, sh, sw, dh, dw, pt, pl):
+        x[:, :, ii, ij] += col[:, :, u, v, oi, oj]
+    return x
 
 
 # ----------------------------------------------------------------- ops
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride=1, dilation=1, padding=0) -> Tensor:
-    """2-D convolution (cross-correlation) with stride and dilation."""
+    """2-D convolution (cross-correlation) with stride and dilation.
+
+    The forward is one batched matmul of the weight with the im2col
+    matrix of x, which the tape keeps for the weight gradient. A 1x1
+    conv at stride 1 without padding uses a view of x as that matrix,
+    and its input gradient is the matmul alone, with no col2im.
+    """
     _check_dtype("conv2d", *( (x, weight, bias) if bias is not None else (x, weight) ))
     sh, sw = _pair(stride)
     dh, dw = _pair(dilation)
@@ -224,8 +262,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise EngineError(f"conv2d: input has {ci} channels, weight expects {ciw}")
     ho = conv_out_size(h, kh, sh, dh, ph)
     wo = conv_out_size(w, kw, sw, dw, pw)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else x.data
-    col = _im2col(xp, kh, kw, sh, sw, dh, dw, ho, wo).reshape(n, ci * kh * kw, ho * wo)
+    pointwise = (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0)
+    if pointwise:
+        col = x.data.reshape(n, ci, h * w)
+    else:
+        col = _im2col(x.data, kh, kw, sh, sw, dh, dw, ph, pw, ho, wo).reshape(
+            n, ci * kh * kw, ho * wo)
     w2 = weight.data.reshape(co, ci * kh * kw)
     out = np.matmul(w2, col).reshape(n, co, ho, wo)
     if bias is not None:
@@ -241,8 +283,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1))
         if x.requires_grad:
-            dcol = np.matmul(w2.T, g).reshape(n, ci, kh, kw, ho, wo)
-            x._accumulate(_col2im(dcol, h, w, kh, kw, sh, sw, dh, dw, ph, pw))
+            dcol = np.matmul(w2.T, g)
+            if not pointwise:
+                dcol = _col2im(dcol.reshape(n, ci, kh, kw, ho, wo),
+                               h, w, kh, kw, sh, sw, dh, dw, ph, pw)
+            x._accumulate(dcol)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _result(out, parents, backward, "conv2d")
@@ -253,7 +298,9 @@ def conv2d_transpose(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     """Adjoint of conv2d with the same attributes.
 
     weight is (c_in, c_out, kh, kw); output_padding resolves the output
-    size ambiguity and must be smaller than the stride.
+    size ambiguity and must be smaller than the stride. The forward
+    scatters the patch matrix with _col2im, the backward gathers the
+    output gradient with _im2col; neither pads.
     """
     _check_dtype("conv2d_transpose", *( (x, weight, bias) if bias is not None else (x, weight) ))
     sh, sw = _pair(stride)
@@ -278,8 +325,8 @@ def conv2d_transpose(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         out = out + bias.data
 
     def backward(grad):
-        gp = np.pad(grad, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if ph or pw else grad
-        gcol = _im2col(gp, kh, kw, sh, sw, dh, dw, h, w).reshape(n, co * kh * kw, h * w)
+        gcol = _im2col(grad, kh, kw, sh, sw, dh, dw, ph, pw, h, w).reshape(
+            n, co * kh * kw, h * w)
         if x.requires_grad:
             dx = np.matmul(w2, gcol).reshape(n, ci, h, w)
             x._accumulate(dx)
@@ -337,15 +384,41 @@ def concat_channels(tensors: list[Tensor]) -> Tensor:
     return _result(out, tuple(tensors), backward, "concat_channels")
 
 
+def _channel_sum(a: np.ndarray) -> np.ndarray:
+    """Per-channel sum of an (n, c, h, w) array as (1, c, 1, 1) float64.
+
+    The sum runs over an (n, c, h*w) view with a float64 accumulator;
+    the input is cast in small buffers, never copied whole.
+    """
+    n, c = a.shape[:2]
+    return np.einsum("ncl->c", a.reshape(n, c, -1),
+                     dtype=np.float64).reshape(1, c, 1, 1)
+
+
+def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-channel sum of a * b, float64 products and accumulator, (1, c, 1, 1)."""
+    n, c = a.shape[:2]
+    return np.einsum("ncl,ncl->c", a.reshape(n, c, -1), b.reshape(n, c, -1),
+                     dtype=np.float64).reshape(1, c, 1, 1)
+
+
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
               running_mean: np.ndarray, running_var: np.ndarray,
               training: bool, decay: float = 0.99, eps: float = 1e-5) -> Tensor:
-    """Per-channel batch normalization.
+    """Per-channel batch normalization, gamma * (x - mean) / sqrt(var + eps) + beta.
 
-    In training mode the batch moments (float64 accumulation) normalize the
-    activations and the running stats are updated in place:
-    running <- decay * running + (1 - decay) * batch. Eval mode normalizes
-    with the running stats.
+    Training mode takes the moments from the batch in two passes: the
+    float64 batch mean is rounded to the tensor dtype and subtracted in
+    that dtype, and the variance is the float64-accumulated mean square
+    of that centred copy, less the square of the centre's rounding. The
+    running stats are updated in place:
+    running <- decay * running + (1 - decay) * batch. Eval mode takes
+    the running stats and is one per-channel scale and shift of x.
+
+    Both modes then compute out = xc * scale + shift per channel, with
+    scale = gamma / sqrt(var + eps) and xc the centred copy (training)
+    or x itself (eval). The tape keeps xc in training mode and nothing
+    beyond x in eval mode.
     """
     _check_dtype("batchnorm", x, gamma, beta)
     n, c, h, w = x.data.shape
@@ -355,43 +428,40 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
     if running_mean.shape != (1, c, 1, 1) or running_var.shape != (1, c, 1, 1):
         raise EngineError("batchnorm: running stat shape mismatch")
     dt = x.data.dtype
+    m = n * h * w
     if training:
-        mean64 = x.data.mean(axis=(0, 2, 3), keepdims=True, dtype=np.float64)
-        var64 = np.square(x.data.astype(np.float64) - mean64).mean(axis=(0, 2, 3), keepdims=True)
+        mean = _channel_sum(x.data) / m
+        centre = mean.astype(dt)
+        xc = x.data - centre
+        offset = mean - centre          # float64 mean of xc
+        var = _channel_dot(xc, xc) / m - offset * offset
         running_mean *= decay
-        running_mean += (1.0 - decay) * mean64
+        running_mean += (1.0 - decay) * mean
         running_var *= decay
-        running_var += (1.0 - decay) * var64
-        inv = (1.0 / np.sqrt(var64 + eps)).astype(dt)
-        xhat = (x.data - mean64.astype(dt)) * inv
-        out = gamma.data * xhat + beta.data
-        m = n * h * w
-
-        def backward(grad):
-            if gamma.requires_grad:
-                gamma._accumulate((grad * xhat).sum(axis=(0, 2, 3), keepdims=True))
-            if beta.requires_grad:
-                beta._accumulate(grad.sum(axis=(0, 2, 3), keepdims=True))
-            if x.requires_grad:
-                dxhat = grad * gamma.data
-                s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-                s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-                x._accumulate((dxhat - s1 / m - xhat * s2 / m) * inv)
-
-        return _result(out, (x, gamma, beta), backward, "batchnorm")
-
-    inv = (1.0 / np.sqrt(running_var + eps)).astype(dt)
-    mu = running_mean.astype(dt)
-    xhat = (x.data - mu) * inv
-    out = gamma.data * xhat + beta.data
+        running_var += (1.0 - decay) * var
+    else:
+        xc, offset, var = x.data, running_mean, running_var
+    inv = 1.0 / np.sqrt(var + eps)
+    scale64 = gamma.data * inv
+    scale = scale64.astype(dt)
+    out = xc * scale
+    out += (beta.data - offset * scale64).astype(dt)
 
     def backward(grad):
+        gsum = _channel_sum(grad)
+        gdot = _channel_dot(grad, xc) - offset * gsum   # sum of grad * (x - mean)
         if gamma.requires_grad:
-            gamma._accumulate((grad * xhat).sum(axis=(0, 2, 3), keepdims=True))
+            gamma._accumulate(gdot * inv)
         if beta.requires_grad:
-            beta._accumulate(grad.sum(axis=(0, 2, 3), keepdims=True))
+            beta._accumulate(gsum)
         if x.requires_grad:
-            x._accumulate(grad * gamma.data * inv)
+            dx = grad * scale
+            if training:
+                # the batch moments depend on x as well
+                k = inv * inv * gdot / m
+                dx -= xc * (scale64 * k).astype(dt)
+                dx += (scale64 * (offset * k - gsum / m)).astype(dt)
+            x._accumulate(dx)
 
     return _result(out, (x, gamma, beta), backward, "batchnorm")
 
@@ -400,7 +470,8 @@ def avg_pool2d(x: Tensor, window=2, stride=None, dilation=1, padding=(0, 0, 0, 0
     """Average pooling with window dilation and asymmetric zero padding.
 
     padding is (top, bottom, left, right); padded zeros count toward the
-    constant divisor.
+    constant divisor. The forward sums the window's strided input slices
+    into a float64 accumulator; no padded copy or patch buffer is built.
     """
     wh, ww = _pair(window)
     sh, sw = _pair(stride if stride is not None else window)
@@ -409,18 +480,17 @@ def avg_pool2d(x: Tensor, window=2, stride=None, dilation=1, padding=(0, 0, 0, 0
     n, c, h, w = x.data.shape
     ho = conv_out_size(h + pt + pb, wh, sh, dh, 0)
     wo = conv_out_size(w + pl + pr, ww, sw, dw, 0)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr))) if (pt or pb or pl or pr) else x.data
-    col = _im2col(xp, wh, ww, sh, sw, dh, dw, ho, wo)
-    out = col.mean(axis=(2, 3), dtype=np.float64).astype(x.data.dtype)
+    acc = np.zeros((n, c, ho, wo), dtype=np.float64)
+    for _, _, oi, oj, ii, ij in _taps(h, w, ho, wo, wh, ww, sh, sw, dh, dw, pt, pl):
+        acc[:, :, oi, oj] += x.data[:, :, ii, ij]
+    acc /= wh * ww
+    out = acc.astype(x.data.dtype)
     scale = 1.0 / (wh * ww)
 
     def backward(grad):
         if x.requires_grad:
             gcol = np.broadcast_to((grad * scale)[:, :, None, None], (n, c, wh, ww, ho, wo))
-            hp = h + pt + pb
-            wp = w + pl + pr
-            full = _col2im(gcol, hp, wp, wh, ww, sh, sw, dh, dw, 0, 0)
-            x._accumulate(full[:, :, pt:pt + h, pl:pl + w])
+            x._accumulate(_col2im(gcol, h, w, wh, ww, sh, sw, dh, dw, pt, pl))
 
     return _result(out, (x,), backward, "avg_pool2d")
 

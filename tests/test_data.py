@@ -76,6 +76,31 @@ def test_manifest_bad_json_rejected(tmp_path):
         load_manifest(p)
 
 
+@pytest.mark.parametrize("ignore", [2, 0, 3, -1, 256, 300])
+def test_manifest_ignore_index_outside_classes_and_byte_rejected(tmp_path, ignore):
+    generate_synthetic(SyntheticSpec(canvas_hw=(24, 24), classes=4, seed=1), 1,
+                       tmp_path / "d")
+    path = tmp_path / "d" / "manifest.json"
+    doc = json.loads(path.read_text())
+    doc["ignore_index"] = ignore
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError) as err:
+        load_manifest(path)
+    assert str(path) in str(err.value)
+    assert "ignore_index" in str(err.value)
+
+
+@pytest.mark.parametrize("ignore", [4, 254, 255])
+def test_manifest_ignore_index_in_range_loads(tmp_path, ignore):
+    generate_synthetic(SyntheticSpec(canvas_hw=(24, 24), classes=4, seed=1), 1,
+                       tmp_path / "d")
+    path = tmp_path / "d" / "manifest.json"
+    doc = json.loads(path.read_text())
+    doc["ignore_index"] = ignore
+    path.write_text(json.dumps(doc))
+    assert load_manifest(path).ignore_index == ignore
+
+
 def test_dataset_names_mismatched_entry(tmp_path):
     man = generate_synthetic(SyntheticSpec(canvas_hw=(24, 24), seed=1), 2,
                              tmp_path / "d")

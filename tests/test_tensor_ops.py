@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -246,3 +248,211 @@ def test_gradcheck_cross_entropy():
     labels[1, 2, 2] = 255
     err = T.gradcheck(lambda a: T.softmax_cross_entropy(a, labels), [z])
     assert err < GRADCHECK_TOL
+
+
+# ---------------------------------------------- nested-loop oracles (float64)
+# Each reference walks output positions and kernel taps one by one and
+# skips taps that land in the zero padding. Given an upstream gradient g
+# it also returns the input and weight gradients by the same loop.
+
+ORACLE_TOL = 1e-12
+
+
+def naive_conv(x, w, s, d, p, g=None):
+    n, ci, h, wd = x.shape
+    co, _, kh, kw = w.shape
+    ho = (h + 2 * p - d * (kh - 1) - 1) // s + 1
+    wo = (wd + 2 * p - d * (kw - 1) - 1) // s + 1
+    out = np.zeros((n, co, ho, wo))
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for i in range(ho):
+        for j in range(wo):
+            for u in range(kh):
+                for v in range(kw):
+                    r, c = i * s + u * d - p, j * s + v * d - p
+                    if not (0 <= r < h and 0 <= c < wd):
+                        continue
+                    out[:, :, i, j] += x[:, :, r, c] @ w[:, :, u, v].T
+                    if g is not None:
+                        dx[:, :, r, c] += g[:, :, i, j] @ w[:, :, u, v]
+                        dw[:, :, u, v] += g[:, :, i, j].T @ x[:, :, r, c]
+    return out, dx, dw
+
+
+def naive_tconv(x, w, s, d, p, op, g=None):
+    n, ci, h, wd = x.shape
+    _, co, kh, kw = w.shape
+    ho = (h - 1) * s - 2 * p + d * (kh - 1) + 1 + op
+    wo = (wd - 1) * s - 2 * p + d * (kw - 1) + 1 + op
+    out = np.zeros((n, co, ho, wo))
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for i in range(h):
+        for j in range(wd):
+            for u in range(kh):
+                for v in range(kw):
+                    r, c = i * s + u * d - p, j * s + v * d - p
+                    if not (0 <= r < ho and 0 <= c < wo):
+                        continue
+                    out[:, :, r, c] += x[:, :, i, j] @ w[:, :, u, v]
+                    if g is not None:
+                        dx[:, :, i, j] += g[:, :, r, c] @ w[:, :, u, v].T
+                        dw[:, :, u, v] += x[:, :, i, j].T @ g[:, :, r, c]
+    return out, dx, dw
+
+
+def naive_pool(x, k, s, d, pad, g=None):
+    pt, pb, pl, pr = pad
+    n, c, h, wd = x.shape
+    ho = (h + pt + pb - d * (k - 1) - 1) // s + 1
+    wo = (wd + pl + pr - d * (k - 1) - 1) // s + 1
+    out = np.zeros((n, c, ho, wo))
+    dx = np.zeros_like(x)
+    for i in range(ho):
+        for j in range(wo):
+            for u in range(k):
+                for v in range(k):
+                    r, cc = i * s + u * d - pt, j * s + v * d - pl
+                    if not (0 <= r < h and 0 <= cc < wd):
+                        continue
+                    out[:, :, i, j] += x[:, :, r, cc] / (k * k)
+                    if g is not None:
+                        dx[:, :, r, cc] += g[:, :, i, j] / (k * k)
+    return out, dx
+
+
+def _engine_grads(out, seed_rng, *tensors):
+    g = seed_rng.normal(size=out.data.shape)
+    out.backward(g)
+    return g, [t.grad for t in tensors]
+
+
+def _close(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=ORACLE_TOL)
+
+
+def _conv_grid():
+    for k in (1, 3):
+        for s in (1, 2):
+            for d in (1, 2, 4):
+                for p in sorted({0, d * (k - 1) // 2, d * (k - 1) + 1}):
+                    yield k, s, d, p
+
+
+@pytest.mark.parametrize("k,s,d,p", list(_conv_grid()))
+def test_conv_matches_nested_loop_oracle(k, s, d, p):
+    rng = np.random.default_rng(1000 + 100 * k + 10 * s + d + p)
+    x = t64(rng.normal(size=(2, 3, 11, 9)))
+    w = t64(rng.normal(size=(4, 3, k, k)))
+    out = T.conv2d(x, w, stride=s, dilation=d, padding=p)
+    g, (dx, dw) = _engine_grads(out, rng, x, w)
+    want, want_dx, want_dw = naive_conv(x.data, w.data, s, d, p, g)
+    _close(out.data, want)
+    _close(dx, want_dx)
+    _close(dw, want_dw)
+
+
+def _tconv_grid(narrow=5):
+    # every output_padding below the stride, where the output does not collapse
+    for k, s, d, p in _conv_grid():
+        for op in range(s):
+            if (narrow - 1) * s - 2 * p + d * (k - 1) + 1 + op >= 1:
+                yield k, s, d, p, op
+
+
+@pytest.mark.parametrize("k,s,d,p,op", list(_tconv_grid()))
+def test_tconv_matches_nested_loop_oracle(k, s, d, p, op):
+    rng = np.random.default_rng(2000 + 100 * k + 10 * s + d + p + 7 * op)
+    x = t64(rng.normal(size=(2, 3, 7, 5)))
+    w = t64(rng.normal(size=(3, 4, k, k)))
+    out = T.conv2d_transpose(x, w, stride=s, dilation=d, padding=p, output_padding=op)
+    g, (dx, dw) = _engine_grads(out, rng, x, w)
+    want, want_dx, want_dw = naive_tconv(x.data, w.data, s, d, p, op, g)
+    _close(out.data, want)
+    _close(dx, want_dx)
+    _close(dw, want_dw)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("tail", [False, True])
+def test_avg_pool_matches_nested_loop_oracle(k, s, d, tail):
+    pad = (0, d, 0, d) if tail else (0, 0, 0, 0)
+    rng = np.random.default_rng(3000 + 100 * k + 10 * s + d + tail)
+    x = t64(rng.normal(size=(2, 3, 11, 9)))
+    out = T.avg_pool2d(x, window=k, stride=s, dilation=d, padding=pad)
+    g, (dx,) = _engine_grads(out, rng, x)
+    want, want_dx = naive_pool(x.data, k, s, d, pad, g)
+    _close(out.data, want)
+    _close(dx, want_dx)
+
+
+# --------------------------------------- gradchecks of the special-cased paths
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_gradcheck_pointwise_conv(s):
+    rng = np.random.default_rng(400 + s)
+    x = _rand(rng, 2, 3, 5, 7)
+    w = _rand(rng, 4, 3, 1, 1)
+    b = _rand(rng, 1, 4, 1, 1)
+    err = T.gradcheck(lambda a, ww, bb: T.conv2d(a, ww, bb, stride=s), [x, w, b])
+    assert err < GRADCHECK_TOL
+
+
+def test_gradcheck_dilated_stride1_tconv():
+    rng = np.random.default_rng(410)
+    x = _rand(rng, 1, 3, 5, 6)
+    w = _rand(rng, 3, 2, 3, 3)
+    err = T.gradcheck(
+        lambda a, b: T.conv2d_transpose(a, b, stride=1, dilation=2, padding=2), [x, w])
+    assert err < GRADCHECK_TOL
+
+
+def test_gradcheck_dilated_tail_padded_pool():
+    rng = np.random.default_rng(420)
+    x = _rand(rng, 2, 2, 7, 6)
+    err = T.gradcheck(
+        lambda a: T.avg_pool2d(a, window=2, stride=1, dilation=2, padding=(0, 2, 0, 2)), [x])
+    assert err < GRADCHECK_TOL
+
+
+def test_gradcheck_batchnorm_eval_with_running_stats():
+    rng = np.random.default_rng(430)
+    x = _rand(rng, 2, 3, 4, 5)
+    gamma = _rand(rng, 1, 3, 1, 1)
+    beta = _rand(rng, 1, 3, 1, 1)
+    rm = rng.normal(0.5, 1.0, size=(1, 3, 1, 1))
+    rv = rng.uniform(0.3, 3.0, size=(1, 3, 1, 1))
+    err = T.gradcheck(
+        lambda a, gm, bt: T.batchnorm(a, gm, bt, rm, rv, training=False), [x, gamma, beta])
+    assert err < GRADCHECK_TOL
+
+
+# ------------------------------------------------ batch norm guard (float32)
+
+def test_batchnorm_float32_large_mean_precision_and_memory():
+    # a mean far from zero relative to the spread: single-pass
+    # E[x^2] - E[x]^2 or float32 accumulators lose the variance here
+    rng = np.random.default_rng(440)
+    x32 = rng.normal(1e3, 1.0, size=(8, 64, 32, 32)).astype(np.float32)
+    gamma = rng.uniform(0.5, 2.0, size=(1, 64, 1, 1)).astype(np.float32)
+    beta = rng.normal(size=(1, 64, 1, 1)).astype(np.float32)
+    rm, rv = np.zeros((1, 64, 1, 1)), np.zeros((1, 64, 1, 1))
+    x = Tensor(x32, requires_grad=True)
+    g, b = Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = T.batchnorm(x, g, b, rm, rv, training=True, decay=0.99)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    x64 = x32.astype(np.float64)
+    mean = x64.mean(axis=(0, 2, 3), keepdims=True)
+    var = np.square(x64 - mean).mean(axis=(0, 2, 3), keepdims=True)
+    want = gamma * (x64 - mean) / np.sqrt(var + 1e-5) + beta
+    assert np.abs(out.data - want).max() <= 1e-4
+    np.testing.assert_allclose(rm, 0.01 * mean, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(rv, 0.01 * var, rtol=1e-12, atol=0)
+    # the output and the centred copy the tape keeps, and little else
+    assert peak <= 2.1 * x32.nbytes, peak / x32.nbytes
