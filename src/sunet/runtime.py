@@ -39,6 +39,13 @@ class Network:
         self.params: dict[str, Tensor] = {}
         self.stats: dict[str, np.ndarray] = {}
         self._init_state(seed)
+        # node -> the inputs it is the last reader of; the graph input is
+        # the caller's and never released
+        last_reader = {src: node.name for node in graph.nodes for src in node.inputs}
+        self._last_reads: dict[str, list[str]] = {}
+        for src, reader in last_reader.items():
+            if graph.by_name[src].kind != "input":
+                self._last_reads.setdefault(reader, []).append(src)
 
     def _init_state(self, seed: int) -> None:
         """He-normal weights drawn in graph order, zero biases, unit BN."""
@@ -98,7 +105,18 @@ class Network:
         """Run the graph; returns the output tensor.
 
         With collect, returns (output, {name: Tensor}) for the named nodes.
+        upto stops after the named node and returns its value. A name
+        that is not in the graph raises GraphError before any op runs.
+
+        Each node's value is released (Tensor.release) right after its
+        last reader has run. Under no_grad that frees its array; on a tape
+        the tensor keeps taking its gradient, and only the arrays backward
+        closures captured stay alive. The output, the upto node, collected
+        nodes and the caller's input keep their values.
         """
+        for name in ([] if upto is None else [upto]) + list(collect or ()):
+            if name not in self.graph.by_name:
+                raise GraphError(f"node {name!r} not in graph")
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=self.dtype))
         if x.data.shape[1] != self.graph.in_channels:
@@ -124,10 +142,11 @@ class Network:
             if node.name in wanted:
                 grabbed[node.name] = val
             out = val
-            if upto is not None and node.name == upto:
+            if node.name == upto:
                 break
-        if upto is not None and upto not in values:
-            raise GraphError(f"node {upto!r} not in graph")
+            for src in self._last_reads.get(node.name, ()):
+                if src not in wanted:
+                    values.pop(src).release()
         if collect is not None:
             return out, grabbed
         return out

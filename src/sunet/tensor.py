@@ -11,9 +11,21 @@ tensor dtype through BLAS.
 Convolutions gather patches with _im2col and scatter them back with
 _col2im, both clipping each kernel tap to the unpadded input, so no
 padded copy is built. A 1x1, stride-1, unpadded conv (the pointwise
-path) skips both: its input is already the column matrix. Each conv
-keeps its column matrix on the tape for the weight gradient; batch norm
-keeps one centred copy of its input in training mode.
+path) skips both: its input is already the column matrix.
+
+A backward closure keeps only the arrays it reads, captured when the op
+runs, and never reads a parent's values later:
+- conv2d keeps its column matrix (a view of x on the pointwise path);
+- conv2d_transpose keeps a view of x, linear a view of its input;
+- batchnorm keeps its centred copy in training mode, x in eval mode;
+- relu keeps a boolean mask of its positive outputs;
+- phase_mask keeps its 0/1 mask, softmax_cross_entropy its exponentials;
+- add, concat_channels, the pools and bilinear_upsample keep no
+  activation.
+So a tensor whose values are released (Tensor.release) still carries
+its gradient through the tape. The tape is consumed once: backward()
+frees each interior node's gradient, closure and parents as soon as the
+node has propagated, so the arrays its closure kept go with it.
 """
 from __future__ import annotations
 
@@ -80,19 +92,50 @@ class Tensor:
         return self.data.dtype
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
+        try:
+            what = f"shape={self.data.shape}, dtype={self.data.dtype}"
+        except EngineError:
+            what = "released"
+        return f"Tensor({what}, grad={self.requires_grad})"
+
+    def __getattr__(self, name):
+        # reached only for an unset slot; data is unset after release()
+        if name == "data":
+            raise EngineError("tensor values were released after their last reader; "
+                              "collect the node to keep them")
+        raise AttributeError(name)
+
+    def release(self) -> None:
+        """Give up the values. The tensor stays on the tape and still takes
+        its gradient; reading data afterwards raises EngineError."""
+        del self.data
 
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add g, which has this tensor's shape and dtype, to the gradient.
+
+        The first g becomes the gradient itself when owned: an array the
+        closure has just allocated and hands over. Anything else (a view of
+        the closure's grad, an array also passed to another parent, a
+        read-only broadcast) is copied first.
+        """
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=False).reshape(self.data.shape).copy()
+            self.grad = g if owned else g.copy()
         else:
-            self.grad += g.astype(self.data.dtype, copy=False).reshape(self.data.shape)
+            self.grad += g
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from a scalar tensor, or from an explicit seed."""
+        """Backpropagate from a scalar tensor, or from an explicit seed.
+
+        Gradients accumulate into every leaf that requires grad: a tensor
+        with no backward closure, such as a parameter or an input. The
+        tape is consumed on the way: each interior node drops its
+        gradient, closure and parents as soon as it has propagated, which
+        frees the arrays the closure kept. Running backward() again over
+        a consumed tape raises EngineError.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise EngineError(
@@ -122,15 +165,28 @@ class Tensor:
                     stack.append((p, False))
         self.grad = seed.copy()
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _spent, ()
+
+
+def _spent(grad) -> None:
+    """The closure left on a tape node that has propagated."""
+    raise EngineError("backward() over a tape that an earlier backward() consumed")
+
+
+def _taping(parents) -> bool:
+    """Whether an op on these parents records a tape node."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
 
 
 def _result(data: np.ndarray, parents, backward, op: str) -> Tensor:
     if _validate_finite and not np.isfinite(data).all():
         raise EngineError(f"non-finite values in output of {op}")
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _taping(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -279,15 +335,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         g = grad.reshape(n, co, ho * wo)
         if weight.requires_grad:
             dw_flat = np.matmul(g, col.transpose(0, 2, 1)).sum(axis=0)
-            weight._accumulate(dw_flat.reshape(weight.data.shape))
+            weight._accumulate(dw_flat.reshape(co, ci, kh, kw), owned=True)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1))
+            bias._accumulate(grad.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1), owned=True)
         if x.requires_grad:
             dcol = np.matmul(w2.T, g)
-            if not pointwise:
+            if pointwise:
+                dcol = dcol.reshape(n, ci, h, w)
+            else:
                 dcol = _col2im(dcol.reshape(n, ci, kh, kw, ho, wo),
                                h, w, kh, kw, sh, sw, dh, dw, ph, pw)
-            x._accumulate(dcol)
+            x._accumulate(dcol, owned=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _result(out, parents, backward, "conv2d")
@@ -329,23 +387,26 @@ def conv2d_transpose(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             n, co * kh * kw, h * w)
         if x.requires_grad:
             dx = np.matmul(w2, gcol).reshape(n, ci, h, w)
-            x._accumulate(dx)
+            x._accumulate(dx, owned=True)
         if weight.requires_grad:
             dw_flat = np.matmul(gcol, xf.transpose(0, 2, 1)).sum(axis=0)
-            weight._accumulate(dw_flat.T.reshape(weight.data.shape))
+            weight._accumulate(dw_flat.T.reshape(ci, co, kh, kw), owned=True)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1))
+            bias._accumulate(grad.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1), owned=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _result(out, parents, backward, "conv2d_transpose")
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0); the tape keeps a boolean mask of the positive outputs,
+    which are exactly the positive inputs."""
     out = np.maximum(x.data, 0)
+    positive = out > 0 if _taping((x,)) else None
 
     def backward(grad):
         if x.requires_grad:
-            x._accumulate(grad * (x.data > 0))
+            x._accumulate(grad * positive, owned=True)
 
     return _result(out, (x,), backward, "relu")
 
@@ -451,9 +512,9 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
         gsum = _channel_sum(grad)
         gdot = _channel_dot(grad, xc) - offset * gsum   # sum of grad * (x - mean)
         if gamma.requires_grad:
-            gamma._accumulate(gdot * inv)
+            gamma._accumulate((gdot * inv).astype(dt), owned=True)
         if beta.requires_grad:
-            beta._accumulate(gsum)
+            beta._accumulate(gsum.astype(dt), owned=True)
         if x.requires_grad:
             dx = grad * scale
             if training:
@@ -461,7 +522,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
                 k = inv * inv * gdot / m
                 dx -= xc * (scale64 * k).astype(dt)
                 dx += (scale64 * (offset * k - gsum / m)).astype(dt)
-            x._accumulate(dx)
+            x._accumulate(dx, owned=True)
 
     return _result(out, (x, gamma, beta), backward, "batchnorm")
 
@@ -490,7 +551,7 @@ def avg_pool2d(x: Tensor, window=2, stride=None, dilation=1, padding=(0, 0, 0, 0
     def backward(grad):
         if x.requires_grad:
             gcol = np.broadcast_to((grad * scale)[:, :, None, None], (n, c, wh, ww, ho, wo))
-            x._accumulate(_col2im(gcol, h, w, wh, ww, sh, sw, dh, dw, pt, pl))
+            x._accumulate(_col2im(gcol, h, w, wh, ww, sh, sw, dh, dw, pt, pl), owned=True)
 
     return _result(out, (x,), backward, "avg_pool2d")
 
@@ -502,7 +563,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
     def backward(grad):
         if x.requires_grad:
-            x._accumulate(np.broadcast_to(grad / (h * w), x.data.shape))
+            x._accumulate(np.broadcast_to(grad / (h * w), (n, c, h, w)))
 
     return _result(out, (x,), backward, "global_avg_pool")
 
@@ -528,11 +589,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     def backward(grad):
         g2 = grad.reshape(n, k)
         if weight.requires_grad:
-            weight._accumulate((g2.T @ x2).reshape(weight.data.shape))
+            weight._accumulate((g2.T @ x2).reshape(k, c, 1, 1), owned=True)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g2.sum(axis=0).reshape(1, k, 1, 1))
+            bias._accumulate(g2.sum(axis=0).reshape(1, k, 1, 1), owned=True)
         if x.requires_grad:
-            x._accumulate((g2 @ w2).reshape(x.data.shape))
+            x._accumulate((g2 @ w2).reshape(n, c, 1, 1), owned=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _result(out, parents, backward, "linear")
@@ -582,7 +643,7 @@ def bilinear_upsample(x: Tensor, size) -> Tensor:
 
     def backward(grad):
         if x.requires_grad:
-            x._accumulate(np.matmul(np.matmul(rh.T, grad), rw))
+            x._accumulate(np.matmul(np.matmul(rh.T, grad), rw), owned=True)
 
     return _result(out, (x,), backward, "bilinear_upsample")
 
@@ -606,7 +667,7 @@ def phase_mask(x: Tensor, period, keep) -> Tensor:
 
     def backward(grad):
         if x.requires_grad:
-            x._accumulate(grad * m)
+            x._accumulate(grad * m, owned=True)
 
     return _result(out, (x,), backward, "phase_mask")
 
@@ -636,7 +697,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int 
 
         def backward_empty(grad):
             if logits.requires_grad:
-                logits._accumulate(np.zeros_like(logits.data))
+                logits._accumulate(np.zeros((n, k, h, w), dtype=dt), owned=True)
 
         return _result(out, (logits,), backward_empty, "softmax_cross_entropy")
 
@@ -656,7 +717,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int 
             onehot_rows = np.arange(k).reshape(1, k, 1, 1)
             probs -= (onehot_rows == safe[:, None]).astype(dt)
             probs *= (valid[:, None] / count).astype(dt)
-            logits._accumulate(probs * grad.reshape(1, 1, 1, 1).astype(dt))
+            logits._accumulate(probs * grad.reshape(1, 1, 1, 1).astype(dt), owned=True)
 
     return _result(out, (logits,), backward, "softmax_cross_entropy")
 

@@ -144,11 +144,6 @@ def train(net: Network, dataset, cfg: TrainConfig, out_dir=None) -> dict:
                 masks.append(mask)
             x = np.stack(imgs)
             labels = np.stack(masks).astype(np.int64)
-            # drop the previous step's tape (every conv's im2col buffer
-            # hangs off out and loss) so only one is alive; dropped here
-            # rather than at the end of that step, its memory is reused
-            # instead of going back to the OS and being faulted in again
-            out = loss = None
             out = net.forward(x, training=not cfg.bn_eval)
             loss = softmax_cross_entropy(out, labels, ignore)
             lval = float(loss.data.reshape(()))

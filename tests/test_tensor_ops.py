@@ -196,6 +196,83 @@ def test_no_grad_blocks_tape():
     assert not y.requires_grad and y._backward is None
 
 
+def test_backward_consumes_the_tape():
+    rng = np.random.default_rng(4)
+    x = t64(rng.normal(size=(1, 2, 5, 5)))
+    w = t64(rng.normal(size=(3, 2, 3, 3)))
+    h = T.relu(T.conv2d(x, w, padding=1))
+    y = T.avg_pool2d(h)
+    seed = np.ones_like(y.data)
+    y.backward(seed)
+    # interior nodes give up gradient, closure and parents; leaves keep theirs
+    assert h.grad is None and h._parents == () and y._parents == ()
+    assert x.grad is not None and w.grad is not None
+    with pytest.raises(EngineError, match="consumed"):
+        y.backward(seed)
+    # a second root over the consumed part of the tape cannot reach x either
+    z = T.relu(h)
+    with pytest.raises(EngineError, match="consumed"):
+        z.backward(np.ones_like(z.data))
+
+
+def test_released_tensor_raises_on_read_but_carries_its_gradient():
+    rng = np.random.default_rng(5)
+    xv, wv = rng.normal(size=(1, 2, 6, 6)), rng.normal(size=(2, 2, 3, 3))
+    lv = rng.normal(size=(3, 2, 1, 1))
+
+    def grads(release):
+        x, w = t64(xv), t64(wv)
+        hidden = [T.conv2d(x, w, padding=1)]
+        hidden.append(T.relu(hidden[-1]))
+        hidden.append(T.batchnorm(hidden[-1], t64(np.ones((1, 2, 1, 1))),
+                                  t64(np.zeros((1, 2, 1, 1))), np.zeros((1, 2, 1, 1)),
+                                  np.ones((1, 2, 1, 1)), training=True))
+        hidden.append(T.conv2d_transpose(hidden[-1], t64(wv), stride=2, padding=1))
+        hidden.append(T.global_avg_pool(hidden[-1]))
+        out = T.linear(hidden[-1], t64(lv))
+        if release:
+            for t in hidden:
+                t.release()
+            with pytest.raises(EngineError, match="released"):
+                hidden[1].data
+            assert "released" in repr(hidden[1])
+        out.backward(np.ones_like(out.data))
+        return x.grad, w.grad
+
+    for kept, released in zip(grads(False), grads(True)):
+        assert np.array_equal(kept, released)
+
+
+def test_gradients_never_share_memory():
+    # each op hands its input gradients over or copies them; no gradient
+    # may share a buffer with another or be a read-only broadcast
+    rng = np.random.default_rng(6)
+    a, b, e, f = (t64(rng.normal(size=(1, 2, 3, 3))) for _ in range(4))
+    c, d = (t64(rng.normal(size=(1, 1, 3, 3))) for _ in range(2))
+    w, bias = t64(rng.normal(size=(3, 2, 1, 1))), t64(rng.normal(size=(1, 3, 1, 1)))
+    v = T.add(T.add(T.add(a, b), T.bilinear_upsample(e, (3, 3))),
+              T.concat_channels([c, d]))
+    pooled = T.add(T.global_avg_pool(v),
+                   T.add(T.global_avg_pool(f), T.global_avg_pool(f)))
+    out = T.linear(pooled, w, bias)
+    out.backward(np.ones_like(out.data))
+
+    def buffer(arr):
+        while arr.base is not None:
+            arr = arr.base
+        return arr
+
+    leaves = [a, b, c, d, e, f, w, bias]
+    for i, p in enumerate(leaves):
+        for q in leaves[i + 1:]:
+            assert not np.shares_memory(buffer(p.grad), buffer(q.grad))
+    for p in leaves:
+        others = [q for q in leaves if q is not p]
+        before = [q.grad.copy() for q in others]
+        p.grad += 1.0
+        assert all(np.array_equal(u, q.grad) for u, q in zip(before, others))
+
+
 def test_add_and_concat_shapes():
     a = Tensor(np.ones((1, 2, 3, 3), dtype=np.float32), requires_grad=True)
     b = Tensor(np.full((1, 2, 3, 3), 2.0, dtype=np.float32), requires_grad=True)
