@@ -39,13 +39,23 @@ class Network:
         self.params: dict[str, Tensor] = {}
         self.stats: dict[str, np.ndarray] = {}
         self._init_state(seed)
+        readers: dict[str, list] = {}
+        for node in graph.nodes:
+            for src in node.inputs:
+                readers.setdefault(src, []).append(node)
+        # relu node -> the bn node it is the only reader of; forward may
+        # run the pair as one fused batchnorm
+        self._fusable = {r[0].name: src for src, r in readers.items()
+                         if graph.by_name[src].kind == "bn"
+                         and len(r) == 1 and r[0].kind == "relu"}
+        self._fusable_bns = frozenset(self._fusable.values())
         # node -> the inputs it is the last reader of; the graph input is
-        # the caller's and never released
-        last_reader = {src: node.name for node in graph.nodes for src in node.inputs}
+        # the caller's and never released; nor is the bn of a fusable pair:
+        # fused, its value is its relu's, and apart it is collected or upto
         self._last_reads: dict[str, list[str]] = {}
-        for src, reader in last_reader.items():
-            if graph.by_name[src].kind != "input":
-                self._last_reads.setdefault(reader, []).append(src)
+        for src, r in readers.items():
+            if graph.by_name[src].kind != "input" and src not in self._fusable_bns:
+                self._last_reads.setdefault(r[-1].name, []).append(src)
 
     def _init_state(self, seed: int) -> None:
         """He-normal weights drawn in graph order, zero biases, unit BN."""
@@ -108,6 +118,11 @@ class Network:
         upto stops after the named node and returns its value. A name
         that is not in the graph raises GraphError before any op runs.
 
+        A bn node whose only reader is a relu node runs with it as one
+        fused T.batchnorm(relu=True), and the relu node takes that value.
+        The pair runs as two ops only when collect or upto names the bn
+        node, so that its pre-ReLU output can be returned.
+
         Each node's value is released (Tensor.release) right after its
         last reader has run. Under no_grad that frees its array; on a tape
         the tensor keeps taking its gradient, and only the arrays backward
@@ -125,17 +140,22 @@ class Network:
         in_hw = x.data.shape[2:]
         values: dict[str, Tensor] = {}
         wanted = set(collect or ())
+        fused = self._fusable_bns
+        if upto in fused or not fused.isdisjoint(wanted):
+            fused = fused - wanted - {upto}
         grabbed: dict[str, Tensor] = {}
         out = None
         for node in self.graph.nodes:
             if node.kind == "input":
                 val = x
+            elif self._fusable.get(node.name) in fused:
+                val = values.pop(self._fusable[node.name])
             else:
                 # inputs are not checked against a declared size, so an
                 # extent that is too small first fails inside an op
                 try:
                     val = self._apply(node, [values[s] for s in node.inputs],
-                                      training, in_hw)
+                                      training, in_hw, node.name in fused)
                 except T.EngineError as exc:
                     raise T.EngineError(f"node {node.name!r}: {exc}") from None
             values[node.name] = val
@@ -151,7 +171,7 @@ class Network:
             return out, grabbed
         return out
 
-    def _apply(self, node, src, training: bool, in_hw) -> Tensor:
+    def _apply(self, node, src, training: bool, in_hw, relu: bool = False) -> Tensor:
         a = node.attrs
         kind = node.kind
         if kind == "conv":
@@ -171,7 +191,8 @@ class Network:
                                self.params[f"{node.name}.beta"],
                                self.stats[f"{node.name}.running_mean"],
                                self.stats[f"{node.name}.running_var"],
-                               training=training, decay=a["decay"], eps=a["eps"])
+                               training=training, decay=a["decay"], eps=a["eps"],
+                               relu=relu)
         if kind == "relu":
             return T.relu(src[0])
         if kind == "avg_pool":

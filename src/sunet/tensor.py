@@ -10,18 +10,29 @@ tensor dtype through BLAS.
 
 Convolutions gather patches with _im2col and scatter them back with
 _col2im, both clipping each kernel tap to the unpadded input, so no
-padded copy is built. A 1x1, stride-1, unpadded conv (the pointwise
-path) skips both: its input is already the column matrix.
+padded copy is built. The per-tap slices (the tap plan) are cached per
+shape. A 1x1, stride-1, unpadded conv (the pointwise path) skips both:
+its input is already the column matrix.
 
 A backward closure keeps only the arrays it reads, captured when the op
 runs, and never reads a parent's values later:
-- conv2d keeps its column matrix (a view of x on the pointwise path);
+- conv2d keeps x's array when the weight needs a gradient, and rebuilds
+  the column matrix from it in backward (the pointwise path keeps a
+  view of x, which is its matrix);
 - conv2d_transpose keeps a view of x, linear a view of its input;
-- batchnorm keeps its centred copy in training mode, x in eval mode;
+- batchnorm keeps its centred copy in training mode, x in eval mode,
+  and with relu=True also its own output, whose sign is the ReLU mask;
 - relu keeps a boolean mask of its positive outputs;
 - phase_mask keeps its 0/1 mask, softmax_cross_entropy its exponentials;
 - add, concat_channels, the pools and bilinear_upsample keep no
   activation.
+Kept arrays are shared, not copied: the output a fused batchnorm keeps
+is the input the next conv keeps. So no op writes into its inputs or
+into an array it has returned. A closure owns the gradient it is handed
+(backward() gives each node a private array) and may overwrite it, or
+hand it on to one parent; it writes into no other array it keeps
+except a copy of its own, such as batchnorm's centred copy.
+
 So a tensor whose values are released (Tensor.release) still carries
 its gradient through the tape. The tape is consumed once: backward()
 frees each interior node's gradient, closure and parents as soon as the
@@ -30,7 +41,7 @@ node has propagated, so the arrays its closure kept go with it.
 from __future__ import annotations
 
 import contextlib
-import math
+import functools
 
 import numpy as np
 
@@ -42,7 +53,6 @@ class EngineError(ValueError):
 
 
 _grad_enabled = True
-_validate_finite = False
 
 
 @contextlib.contextmanager
@@ -55,12 +65,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def set_validation(enabled: bool) -> None:
-    """Toggle opt-in non-finite checks on every op output."""
-    global _validate_finite
-    _validate_finite = bool(enabled)
 
 
 class Tensor:
@@ -182,9 +186,7 @@ def _taping(parents) -> bool:
     return _grad_enabled and any(p.requires_grad for p in parents)
 
 
-def _result(data: np.ndarray, parents, backward, op: str) -> Tensor:
-    if _validate_finite and not np.isfinite(data).all():
-        raise EngineError(f"non-finite values in output of {op}")
+def _result(data: np.ndarray, parents, backward) -> Tensor:
     out = Tensor(data)
     if _taping(parents):
         out.requires_grad = True
@@ -255,34 +257,35 @@ def _tap_range(off: int, s: int, size: int, out: int) -> tuple[slice, slice]:
     return slice(lo, hi), slice(start, start + s * (hi - lo - 1) + 1, s)
 
 
+@functools.lru_cache(maxsize=1024)
 def _taps(h: int, w: int, ho: int, wo: int, kh: int, kw: int, sh: int, sw: int,
-          dh: int, dw: int, pt: int, pl: int):
-    """Yield (u, v, out_rows, out_cols, in_rows, in_cols) per kernel tap.
+          dh: int, dw: int, pt: int, pl: int) -> tuple:
+    """The tap plan: one (u, v, out_rows, out_cols, in_rows, in_cols) per
+    kernel tap.
 
     Tap (u, v) of output (i, j) reads input (i*sh + u*dh - pt,
     j*sw + v*dw - pl). The slices are clipped to the unpadded input, so
     outputs outside them see the zero padding without it being built.
+    A plan depends on the integer arguments alone, so it is built once
+    per shape and cached.
     """
     rows = [_tap_range(u * dh - pt, sh, h, ho) for u in range(kh)]
     cols = [_tap_range(v * dw - pl, sw, w, wo) for v in range(kw)]
-    for u, (oi, ii) in enumerate(rows):
-        for v, (oj, ij) in enumerate(cols):
-            yield u, v, oi, oj, ii, ij
+    return tuple((u, v, oi, oj, ii, ij)
+                 for u, (oi, ii) in enumerate(rows)
+                 for v, (oj, ij) in enumerate(cols))
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
             dh: int, dw: int, pt: int, pl: int, ho: int, wo: int) -> np.ndarray:
     """Gather (n, c, kh, kw, ho, wo) patches of x zero-padded by pt rows on
-    top and pl columns on the left (the far sides follow from ho, wo)."""
+    top and pl columns on the left (the far sides follow from ho, wo).
+    The matrix starts zeroed, so each tap is one copy of its clipped
+    slice and the positions it does not reach keep the padding's zero."""
     n, c, h, w = x.shape
-    col = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
+    col = np.zeros((n, c, kh, kw, ho, wo), dtype=x.dtype)
     for u, v, oi, oj, ii, ij in _taps(h, w, ho, wo, kh, kw, sh, sw, dh, dw, pt, pl):
-        dst = col[:, :, u, v]
-        dst[:, :, :oi.start] = 0
-        dst[:, :, oi.stop:] = 0
-        dst[:, :, oi, :oj.start] = 0
-        dst[:, :, oi, oj.stop:] = 0
-        dst[:, :, oi, oj] = x[:, :, ii, ij]
+        col[:, :, u, v, oi, oj] = x[:, :, ii, ij]
     return col
 
 
@@ -304,9 +307,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     """2-D convolution (cross-correlation) with stride and dilation.
 
     The forward is one batched matmul of the weight with the im2col
-    matrix of x, which the tape keeps for the weight gradient. A 1x1
-    conv at stride 1 without padding uses a view of x as that matrix,
-    and its input gradient is the matmul alone, with no col2im.
+    matrix of x. That matrix is freed when the forward returns: when the
+    weight needs a gradient the tape keeps x's array instead, and the
+    backward rebuilds the matrix for the weight gradient alone and drops
+    it straight after. A 1x1 conv at stride 1 without padding uses a
+    view of x as the matrix, and its input gradient is the matmul alone,
+    with no col2im.
     """
     _check_dtype("conv2d", *( (x, weight, bias) if bias is not None else (x, weight) ))
     sh, sw = _pair(stride)
@@ -319,22 +325,25 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     ho = conv_out_size(h, kh, sh, dh, ph)
     wo = conv_out_size(w, kw, sw, dw, pw)
     pointwise = (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0)
-    if pointwise:
-        col = x.data.reshape(n, ci, h * w)
-    else:
-        col = _im2col(x.data, kh, kw, sh, sw, dh, dw, ph, pw, ho, wo).reshape(
+
+    def columns(xd):
+        if pointwise:
+            return xd.reshape(n, ci, h * w)
+        return _im2col(xd, kh, kw, sh, sw, dh, dw, ph, pw, ho, wo).reshape(
             n, ci * kh * kw, ho * wo)
+
     w2 = weight.data.reshape(co, ci * kh * kw)
-    out = np.matmul(w2, col).reshape(n, co, ho, wo)
+    out = np.matmul(w2, columns(x.data)).reshape(n, co, ho, wo)
     if bias is not None:
         if bias.data.shape != (1, co, 1, 1):
             raise EngineError(f"conv2d: bias shape {bias.data.shape} != (1, {co}, 1, 1)")
         out += bias.data
+    xd = x.data if weight.requires_grad else None
 
     def backward(grad):
         g = grad.reshape(n, co, ho * wo)
         if weight.requires_grad:
-            dw_flat = np.matmul(g, col.transpose(0, 2, 1)).sum(axis=0)
+            dw_flat = np.matmul(g, columns(xd).transpose(0, 2, 1)).sum(axis=0)
             weight._accumulate(dw_flat.reshape(co, ci, kh, kw), owned=True)
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1), owned=True)
@@ -348,7 +357,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             x._accumulate(dcol, owned=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return _result(out, parents, backward, "conv2d")
+    return _result(out, parents, backward)
 
 
 def conv2d_transpose(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -395,7 +404,7 @@ def conv2d_transpose(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             bias._accumulate(grad.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1), owned=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return _result(out, parents, backward, "conv2d_transpose")
+    return _result(out, parents, backward)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -408,7 +417,7 @@ def relu(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(grad * positive, owned=True)
 
-    return _result(out, (x,), backward, "relu")
+    return _result(out, (x,), backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -418,12 +427,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad)
+        # the closure owns grad: a takes it, handed over last, b a copy
+        # (b takes grad itself when a needs no gradient)
         if b.requires_grad:
-            b._accumulate(grad)
+            b._accumulate(grad, owned=not a.requires_grad)
+        if a.requires_grad:
+            a._accumulate(grad, owned=True)
 
-    return _result(out, (a, b), backward, "add")
+    return _result(out, (a, b), backward)
 
 
 def concat_channels(tensors: list[Tensor]) -> Tensor:
@@ -442,7 +453,7 @@ def concat_channels(tensors: list[Tensor]) -> Tensor:
             if t.requires_grad:
                 t._accumulate(g)
 
-    return _result(out, tuple(tensors), backward, "concat_channels")
+    return _result(out, tuple(tensors), backward)
 
 
 def _channel_sum(a: np.ndarray) -> np.ndarray:
@@ -465,7 +476,8 @@ def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
               running_mean: np.ndarray, running_var: np.ndarray,
-              training: bool, decay: float = 0.99, eps: float = 1e-5) -> Tensor:
+              training: bool, decay: float = 0.99, eps: float = 1e-5,
+              relu: bool = False) -> Tensor:
     """Per-channel batch normalization, gamma * (x - mean) / sqrt(var + eps) + beta.
 
     Training mode takes the moments from the batch in two passes: the
@@ -480,6 +492,12 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
     scale = gamma / sqrt(var + eps) and xc the centred copy (training)
     or x itself (eval). The tape keeps xc in training mode and nothing
     beyond x in eval mode.
+
+    With relu, the op is relu(batchnorm(...)) in one: the output is
+    clamped in place, and the backward takes the ReLU mask from the
+    sign of that output, which the tape keeps (it is the array the next
+    op reads), instead of a separate mask. Results are bit-equal to the
+    two ops run apart.
     """
     _check_dtype("batchnorm", x, gamma, beta)
     n, c, h, w = x.data.shape
@@ -507,8 +525,14 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
     scale = scale64.astype(dt)
     out = xc * scale
     out += (beta.data - offset * scale64).astype(dt)
+    activated = None
+    if relu:
+        activated = np.maximum(out, 0, out=out)
 
     def backward(grad):
+        # grad is this closure's own array, so it is overwritten in place
+        if activated is not None:
+            np.multiply(grad, activated > 0, out=grad)
         gsum = _channel_sum(grad)
         gdot = _channel_dot(grad, xc) - offset * gsum   # sum of grad * (x - mean)
         if gamma.requires_grad:
@@ -516,15 +540,16 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
         if beta.requires_grad:
             beta._accumulate(gsum.astype(dt), owned=True)
         if x.requires_grad:
-            dx = grad * scale
+            dx = np.multiply(grad, scale, out=grad)
             if training:
-                # the batch moments depend on x as well
+                # the batch moments depend on x as well; xc is the op's
+                # own copy here (in eval mode it is x's array, kept intact)
                 k = inv * inv * gdot / m
-                dx -= xc * (scale64 * k).astype(dt)
+                dx -= np.multiply(xc, (scale64 * k).astype(dt), out=xc)
                 dx += (scale64 * (offset * k - gsum / m)).astype(dt)
             x._accumulate(dx, owned=True)
 
-    return _result(out, (x, gamma, beta), backward, "batchnorm")
+    return _result(out, (x, gamma, beta), backward)
 
 
 def avg_pool2d(x: Tensor, window=2, stride=None, dilation=1, padding=(0, 0, 0, 0)) -> Tensor:
@@ -553,7 +578,7 @@ def avg_pool2d(x: Tensor, window=2, stride=None, dilation=1, padding=(0, 0, 0, 0
             gcol = np.broadcast_to((grad * scale)[:, :, None, None], (n, c, wh, ww, ho, wo))
             x._accumulate(_col2im(gcol, h, w, wh, ww, sh, sw, dh, dw, pt, pl), owned=True)
 
-    return _result(out, (x,), backward, "avg_pool2d")
+    return _result(out, (x,), backward)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -565,7 +590,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(np.broadcast_to(grad / (h * w), (n, c, h, w)))
 
-    return _result(out, (x,), backward, "global_avg_pool")
+    return _result(out, (x,), backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -596,7 +621,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             x._accumulate((g2 @ w2).reshape(n, c, 1, 1), owned=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return _result(out, parents, backward, "linear")
+    return _result(out, parents, backward)
 
 
 _resize_cache: dict[tuple[int, int], np.ndarray] = {}
@@ -633,9 +658,9 @@ def bilinear_upsample(x: Tensor, size) -> Tensor:
 
         def backward_id(grad):
             if x.requires_grad:
-                x._accumulate(grad)
+                x._accumulate(grad, owned=True)
 
-        return _result(out, (x,), backward_id, "bilinear_upsample")
+        return _result(out, (x,), backward_id)
     dt = x.data.dtype
     rh = _resize_matrix(h, th).astype(dt)
     rw = _resize_matrix(w, tw).astype(dt)
@@ -645,7 +670,7 @@ def bilinear_upsample(x: Tensor, size) -> Tensor:
         if x.requires_grad:
             x._accumulate(np.matmul(np.matmul(rh.T, grad), rw), owned=True)
 
-    return _result(out, (x,), backward, "bilinear_upsample")
+    return _result(out, (x,), backward)
 
 
 def phase_mask(x: Tensor, period, keep) -> Tensor:
@@ -669,7 +694,7 @@ def phase_mask(x: Tensor, period, keep) -> Tensor:
         if x.requires_grad:
             x._accumulate(grad * m, owned=True)
 
-    return _result(out, (x,), backward, "phase_mask")
+    return _result(out, (x,), backward)
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int = 255) -> Tensor:
@@ -699,7 +724,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int 
             if logits.requires_grad:
                 logits._accumulate(np.zeros((n, k, h, w), dtype=dt), owned=True)
 
-        return _result(out, (logits,), backward_empty, "softmax_cross_entropy")
+        return _result(out, (logits,), backward_empty)
 
     zmax = logits.data.max(axis=1, keepdims=True)
     shifted = logits.data - zmax
@@ -719,7 +744,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int 
             probs *= (valid[:, None] / count).astype(dt)
             logits._accumulate(probs * grad.reshape(1, 1, 1, 1).astype(dt), owned=True)
 
-    return _result(out, (logits,), backward, "softmax_cross_entropy")
+    return _result(out, (logits,), backward)
 
 
 # ------------------------------------------------------------ gradcheck

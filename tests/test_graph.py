@@ -3,11 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sunet import tensor as T
 from sunet.arch import build_classifier, toy_config
 from sunet.graph import GraphError, NetworkGraph
+from sunet.optim import OptimizerConfig
 from sunet.runtime import Network
 from sunet.segment import SegmentationConfig, to_segmentation
 from sunet.tensor import EngineError, Tensor, no_grad, softmax_cross_entropy
+from sunet.training import TrainConfig, train
 
 
 def small_graph():
@@ -191,13 +194,8 @@ def test_no_grad_forward_peak_is_a_fraction_of_its_node_outputs():
     assert peak <= 0.6 * total, (peak, total)
 
 
-# Traced peak of the step below on an engine that kept every node output
-# until forward returned and every gradient and closure until backward
-# returned: 32,030,181 bytes. Releasing both reads 14,452,317 (0.45x).
-KEEP_ALL_STEP_PEAK = 32_030_181
-
-
-def test_training_step_peak_memory():
+def training_step_peak() -> int:
+    """Traced peak of one training step of converted_net(), batch 2 at 96x96."""
     net = converted_net()
     rng = np.random.default_rng(0)
     x = rng.normal(size=(2, 3, 96, 96)).astype(np.float32)
@@ -208,6 +206,108 @@ def test_training_step_peak_memory():
         loss.backward()
         net.zero_grads()
 
-    step()      # fills the resize-matrix cache
-    peak = traced_peak(step)
+    step()      # fills the resize-matrix and tap-plan caches
+    return traced_peak(step)
+
+
+# Traced peak of that step on an engine that kept every node output
+# until forward returned and every gradient and closure until backward
+# returned: 32,030,181 bytes. Releasing both reads 14,452,317 (0.45x).
+KEEP_ALL_STEP_PEAK = 32_030_181
+
+
+def test_training_step_peak_memory():
+    peak = training_step_peak()
     assert peak <= 0.6 * KEEP_ALL_STEP_PEAK, peak
+
+
+# The same step on an engine whose convs kept their im2col matrices for
+# the weight gradient and whose BN->ReLU pairs ran as two ops: 14,452,317
+# bytes. Keeping conv inputs and fusing the pairs reads 7,569,917 (0.52x).
+COLUMN_MATRIX_STEP_PEAK = 14_452_317
+
+
+def test_training_step_peak_without_column_matrices():
+    peak = training_step_peak()
+    assert peak <= 0.6 * COLUMN_MATRIX_STEP_PEAK, peak
+
+
+# ------------------------------------------------- BN->ReLU fusion at run time
+
+def spy_batchnorm(monkeypatch):
+    """Record (relu flag, x's array, a copy of it) of every T.batchnorm call."""
+    calls, real = [], T.batchnorm
+
+    def spy(x, *args, **kwargs):
+        calls.append((kwargs.get("relu", False), x.data, x.data.copy()))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(T, "batchnorm", spy)
+    return calls
+
+
+def test_forward_fuses_bn_relu_pairs(monkeypatch):
+    x = np.random.default_rng(1).normal(size=(2, 3, 16, 16)).astype(np.float32)
+
+    def step(collect):
+        net = chain_net()
+        out, _ = net.forward(x, training=True, collect=collect)
+        values = [out.data.copy()] + list(net.stats.values())
+        out.backward(np.ones_like(out.data))
+        return values + [net.params[k].grad for k in sorted(net.params)]
+
+    relus, real_relu = [], T.relu
+    monkeypatch.setattr(T, "relu", lambda t: relus.append(t) or real_relu(t))
+    calls = spy_batchnorm(monkeypatch)
+    apart = step(["b1"])
+    assert [c[0] for c in calls] == [False] and len(relus) == 2
+    fused = step(["r1"])
+    # only r2, which follows a conv, still runs as a relu
+    assert [c[0] for c in calls[1:]] == [True] and len(relus) == 3
+    for want, got in zip(apart, fused):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("how", ["collect", "upto"])
+def test_naming_the_bn_returns_its_pre_relu_output(how, monkeypatch):
+    net = chain_net()
+    x = np.random.default_rng(2).normal(size=(2, 3, 16, 16)).astype(np.float32)
+    with no_grad():
+        fused_r1 = net.forward(x, upto="r1").data
+        fused_out = net.forward(x).data
+    calls = spy_batchnorm(monkeypatch)
+    if how == "collect":
+        out, grabbed = net.forward(x, collect=["b1"])
+        b1 = grabbed["b1"].data
+        assert out.data.tobytes() == fused_out.tobytes()
+    else:
+        b1 = net.forward(x, upto="b1").data
+    assert [c[0] for c in calls] == [False]
+    assert (b1 < 0).any()
+    assert np.maximum(b1, 0).tobytes() == fused_r1.tobytes()
+
+
+class _Images:
+    def __init__(self, n, hw, classes, seed):
+        rng = np.random.default_rng(seed)
+        self.images = [rng.integers(0, 256, size=(3,) + hw, dtype=np.uint8)
+                       for _ in range(n)]
+        self.masks = [rng.integers(0, classes, size=hw).astype(np.uint8)
+                      for _ in range(n)]
+        self.ignore_index = 255
+
+    def __len__(self):
+        return len(self.images)
+
+
+def test_bn_eval_step_leaves_bn_inputs_unchanged(monkeypatch):
+    # in eval mode a BN closure keeps its input array itself, and the fused
+    # backward overwrites only what it owns
+    net = converted_net()
+    calls = spy_batchnorm(monkeypatch)
+    opt = OptimizerConfig(lr0=0.01, momentum=0.9, weight_decay=0.0, batch_size=2)
+    train(net, _Images(2, (96, 96), 4, seed=3),
+          TrainConfig(iters=1, optimizer=opt, bn_eval=True))
+    assert any(c[0] for c in calls)
+    for _, arr, copy in calls:
+        assert np.array_equal(arr, copy)

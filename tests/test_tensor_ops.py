@@ -416,7 +416,11 @@ def _conv_grid():
                     yield k, s, d, p
 
 
-@pytest.mark.parametrize("k,s,d,p", list(_conv_grid()))
+# 7x7 cases: the stem (stride 2, padding 3) and strided, dilated, padded variants
+STEM_CASES = [(7, 2, 1, 3), (7, 1, 1, 0), (7, 2, 2, 6), (7, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("k,s,d,p", list(_conv_grid()) + STEM_CASES)
 def test_conv_matches_nested_loop_oracle(k, s, d, p):
     rng = np.random.default_rng(1000 + 100 * k + 10 * s + d + p)
     x = t64(rng.normal(size=(2, 3, 11, 9)))
@@ -533,3 +537,66 @@ def test_batchnorm_float32_large_mean_precision_and_memory():
     np.testing.assert_allclose(rv, 0.01 * var, rtol=1e-12, atol=0)
     # the output and the centred copy the tape keeps, and little else
     assert peak <= 2.1 * x32.nbytes, peak / x32.nbytes
+
+
+# --------------------------------------------- fused batch norm and ReLU
+
+def _bn_args(rng, dtype, c=3):
+    gamma = Tensor(rng.uniform(0.5, 2.0, size=(1, c, 1, 1)).astype(dtype), requires_grad=True)
+    beta = Tensor(rng.normal(size=(1, c, 1, 1)).astype(dtype), requires_grad=True)
+    return gamma, beta, rng.normal(0.3, 1.0, size=(1, c, 1, 1)), rng.uniform(0.3, 3.0, size=(1, c, 1, 1))
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_gradcheck_batchnorm_relu(training):
+    rng = np.random.default_rng(450 + training)
+    x = _rand(rng, 2, 3, 4, 5)
+    gamma, beta, rm, rv = _bn_args(rng, np.float64)
+    err = T.gradcheck(
+        lambda a, gm, bt: T.batchnorm(a, gm, bt, rm.copy(), rv.copy(),
+                                      training=training, relu=True),
+        [x, gamma, beta])
+    assert err < GRADCHECK_TOL
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_batchnorm_relu_is_bit_equal_to_the_two_ops(training):
+    rng = np.random.default_rng(460 + training)
+    xv = rng.normal(0.2, 1.5, size=(4, 3, 6, 7)).astype(np.float32)
+    gv = rng.normal(size=xv.shape).astype(np.float32)
+    args = _bn_args(rng, np.float32)
+
+    def run(fused):
+        x = Tensor(xv.copy(), requires_grad=True)
+        gamma, beta = (Tensor(t.data.copy(), requires_grad=True) for t in args[:2])
+        rm, rv = args[2].copy(), args[3].copy()
+        if fused:
+            out = T.batchnorm(x, gamma, beta, rm, rv, training=training, relu=True)
+        else:
+            out = T.relu(T.batchnorm(x, gamma, beta, rm, rv, training=training))
+        result = [out.data.copy(), rm, rv]
+        out.backward(gv)
+        return result + [x.grad, gamma.grad, beta.grad]
+
+    apart, fused = run(False), run(True)
+    assert (apart[0] == 0).any() and (apart[0] > 0).any()
+    for want, got in zip(apart, fused):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_conv_keeps_its_input_not_its_column_matrix():
+    # a 3x3 conv's column matrix is 9x its input; the tape holds only the
+    # output and a reference to the input until backward rebuilds it
+    rng = np.random.default_rng(470)
+    x = Tensor(rng.normal(size=(2, 8, 32, 32)).astype(np.float32))
+    w = Tensor(rng.normal(size=(8, 8, 3, 3)).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = T.conv2d(x, w, padding=1)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held < 1.1 * out.data.nbytes, held / out.data.nbytes
+    out.backward(np.ones_like(out.data))
+    assert w.grad.shape == w.data.shape
