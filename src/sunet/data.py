@@ -195,12 +195,16 @@ def load_manifest(path: str) -> DatasetManifest:
 
 
 class Dataset:
-    """All pairs of a manifest in memory, size-checked on load."""
+    """All pairs of a manifest in memory, size- and label-checked on load."""
 
     def __init__(self, manifest: DatasetManifest):
         self.manifest = manifest
         self.images: list[np.ndarray] = []
         self.masks: list[np.ndarray] = []
+        # a mask byte is valid if it is a class index or the ignore label
+        bad_label = np.ones(256, dtype=bool)
+        bad_label[:manifest.classes] = False
+        bad_label[manifest.ignore_index] = False
         for i in range(len(manifest)):
             img = read_ppm(manifest.image_path(i))
             mask = read_pgm(manifest.mask_path(i))
@@ -208,6 +212,12 @@ class Dataset:
                 raise DataError(
                     f"manifest entry {i} ({manifest.entries[i][0]}): image "
                     f"{img.shape[:2]} vs mask {mask.shape} size mismatch")
+            bad = bad_label.take(mask)
+            if bad.any():
+                raise DataError(
+                    f"manifest entry {i} ({manifest.mask_path(i)}): label "
+                    f"{mask.flat[bad.argmax()]} outside [0, {manifest.classes}) "
+                    f"and not ignore_index {manifest.ignore_index}")
             self.images.append(np.ascontiguousarray(img.transpose(2, 0, 1)))
             self.masks.append(mask)
 

@@ -113,6 +113,15 @@ def _unpack(fmt: str, blob: bytes, pos: int, path) -> tuple:
         raise DataError(f"{path}: header is truncated") from None
 
 
+def _text(blob: bytes, pos: int, size: int, path, what: str) -> str:
+    """UTF-8 header field that names the file when its bytes are not text."""
+    try:
+        return blob[pos:pos + size].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {what} is not UTF-8 ({exc.reason} at byte "
+                        f"{pos + exc.start})") from None
+
+
 def read_checkpoint(path):
     """Read a SUNC container; returns (entries, iteration, graph_digest)."""
     with open(path, "rb") as fh:
@@ -125,7 +134,7 @@ def read_checkpoint(path):
     pos = 16
     (dlen,) = _unpack("<H", blob, pos, path)
     pos += 2
-    digest = blob[pos:pos + dlen].decode("utf-8")
+    digest = _text(blob, pos, dlen, path, "graph digest")
     pos += dlen
     (count,) = _unpack("<I", blob, pos, path)
     pos += 4
@@ -133,7 +142,7 @@ def read_checkpoint(path):
     for _ in range(count):
         (nlen,) = _unpack("<H", blob, pos, path)
         pos += 2
-        name = blob[pos:pos + nlen].decode("utf-8")
+        name = _text(blob, pos, nlen, path, f"entry {len(rows)} name")
         pos += nlen
         code, s0, s1, s2, s3, offset, nbytes = _unpack("<B4QQQ", blob, pos, path)
         pos += struct.calcsize("<B4QQQ")

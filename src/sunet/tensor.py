@@ -12,13 +12,17 @@ Convolutions gather patches with _im2col and scatter them back with
 _col2im, both clipping each kernel tap to the unpadded input, so no
 padded copy is built. The per-tap slices (the tap plan) are cached per
 shape. A 1x1, stride-1, unpadded conv (the pointwise path) skips both:
-its input is already the column matrix.
+its input is already the column matrix. The backward of any other
+stride-1 conv whose input needs a gradient gathers the output gradient
+once and scatters nothing; strided convs rebuild the input's column
+matrix and scatter the input gradient with _col2im.
 
 A backward closure keeps only the arrays it reads, captured when the op
 runs, and never reads a parent's values later:
-- conv2d keeps x's array when the weight needs a gradient, and rebuilds
-  the column matrix from it in backward (the pointwise path keeps a
-  view of x, which is its matrix);
+- conv2d keeps x's array when the weight needs a gradient, and pairs it
+  in backward with the gathered output gradient (stride 1) or with its
+  rebuilt column matrix (the pointwise path keeps a view of x, which is
+  its matrix);
 - conv2d_transpose keeps a view of x, linear a view of its input;
 - batchnorm keeps its centred copy in training mode, x in eval mode,
   and with relu=True also its own output, whose sign is the ReLU mask;
@@ -308,11 +312,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     The forward is one batched matmul of the weight with the im2col
     matrix of x. That matrix is freed when the forward returns: when the
-    weight needs a gradient the tape keeps x's array instead, and the
-    backward rebuilds the matrix for the weight gradient alone and drops
-    it straight after. A 1x1 conv at stride 1 without padding uses a
-    view of x as the matrix, and its input gradient is the matmul alone,
-    with no col2im.
+    weight needs a gradient the tape keeps x's array instead. A 1x1 conv
+    at stride 1 without padding uses a view of x as the matrix, and its
+    input gradient is the matmul alone, with no col2im.
+
+    Any other stride-1 conv whose input needs a gradient gathers the
+    output gradient g once, as the im2col matrix G of a stride-1 conv
+    over x's extent padded by d*(k-1) - p (negative pads clip), whose
+    tap u is the forward's tap k-1-u. Then dx is G times the weight
+    flipped in both spatial axes with its channel axes swapped, and dw
+    is G times x's transpose with the taps flipped back: no col2im and
+    no rebuilt matrix. A strided conv, or one whose input needs no
+    gradient, rebuilds x's matrix for the weight gradient and scatters
+    the input gradient with col2im.
     """
     _check_dtype("conv2d", *( (x, weight, bias) if bias is not None else (x, weight) ))
     sh, sw = _pair(stride)
@@ -339,14 +351,29 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             raise EngineError(f"conv2d: bias shape {bias.data.shape} != (1, {co}, 1, 1)")
         out += bias.data
     xd = x.data if weight.requires_grad else None
+    gather =not pointwise and (sh, sw) == (1, 1) and x.requires_grad
 
     def backward(grad):
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(grad.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1), owned=True)
+        if gather:
+            # G[:, o, u, v, y, z] = grad[:, o, y + u*dh - qh, z + v*dw - qw]
+            # is tap (kh-1-u, kw-1-v) of the forward seen from input (y, z)
+            qh, qw = dh * (kh - 1) - ph, dw * (kw - 1) - pw
+            gcol = _im2col(grad, kh, kw, 1, 1, dh, dw, qh, qw, h, w).reshape(
+                n, co * kh * kw, h * w)
+            if weight.requires_grad:
+                dw_flip = np.matmul(gcol, xd.reshape(n, ci, h * w).transpose(0, 2, 1)).sum(axis=0)
+                dw_flip = dw_flip.reshape(co, kh, kw, ci)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+                weight._accumulate(np.ascontiguousarray(dw_flip), owned=True)
+            w_flip = w2.reshape(co, ci, kh, kw)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            dx = np.matmul(w_flip.reshape(ci, co * kh * kw), gcol)
+            x._accumulate(dx.reshape(n, ci, h, w), owned=True)
+            return
         g = grad.reshape(n, co, ho * wo)
         if weight.requires_grad:
             dw_flat = np.matmul(g, columns(xd).transpose(0, 2, 1)).sum(axis=0)
             weight._accumulate(dw_flat.reshape(co, ci, kh, kw), owned=True)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1), owned=True)
         if x.requires_grad:
             dcol = np.matmul(w2.T, g)
             if pointwise:

@@ -112,6 +112,20 @@ def test_dataset_names_mismatched_entry(tmp_path):
     assert "size mismatch" in str(err.value)
 
 
+def test_dataset_names_mask_with_out_of_range_label(tmp_path):
+    man = generate_synthetic(SyntheticSpec(canvas_hw=(24, 24), seed=1), 3,
+                             tmp_path / "d")
+    mask = read_pgm(man.mask_path(2))
+    assert mask.max() == 255  # the void ring is valid
+    mask[5, 7], mask[9, 1] = 7, 9
+    write_pgm(man.mask_path(2), mask)
+    with pytest.raises(DataError) as err:
+        Dataset(man)
+    msg = str(err.value)
+    assert "entry 2" in msg and man.mask_path(2) in msg
+    assert "label 7 outside [0, 4)" in msg
+
+
 def test_dataset_loads_images_chw(tmp_path):
     man = generate_synthetic(SyntheticSpec(canvas_hw=(24, 30), seed=1), 3,
                              tmp_path / "d")

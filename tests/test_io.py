@@ -111,6 +111,20 @@ def test_checkpoint_truncated_header_is_data_error(tmp_path, cut):
         sio.read_checkpoint(p)
 
 
+@pytest.mark.parametrize("field,at", [("graph digest", 18), ("entry 0 name", 18 + 64 + 4 + 2)],
+                         ids=["digest", "entry-name"])
+def test_checkpoint_non_utf8_header_is_data_error(tmp_path, field, at):
+    # byte 18 opens the 64-byte digest; the first entry name follows the
+    # 4-byte entry count and its own 2-byte length
+    p = tmp_path / "c.sunc"
+    sio.write_checkpoint(p, _entries(0), iteration=1, graph_digest="ef" * 32)
+    blob = bytearray(p.read_bytes())
+    blob[at] = 0xFF
+    p.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match=f"c.sunc: {field} is not UTF-8"):
+        sio.read_checkpoint(p)
+
+
 def test_tensor_truncated_header_is_data_error(tmp_path):
     p = tmp_path / "t.sutn"
     sio.write_tensor(p, np.zeros((1, 1, 2, 2), dtype=np.float32))

@@ -418,13 +418,22 @@ def _conv_grid():
 
 # 7x7 cases: the stem (stride 2, padding 3) and strided, dilated, padded variants
 STEM_CASES = [(7, 2, 1, 3), (7, 1, 1, 0), (7, 2, 2, 6), (7, 1, 2, 3)]
+# stride-1 cases whose outer taps miss the 11x9 input entirely, as multigrid
+# rates do on small grids, and non-square kernels, whose gradient gather
+# flips each axis by its own kernel extent
+STRIDE1_CASES = [
+    (3, 1, 6, 6), (3, 1, 12, 12),
+    pytest.param((3, 1), 1, 1, 1, id="3x1-1-1-1"),
+    pytest.param((5, 3), 1, 2, 5, id="5x3-1-2-5"),
+]
 
 
-@pytest.mark.parametrize("k,s,d,p", list(_conv_grid()) + STEM_CASES)
+@pytest.mark.parametrize("k,s,d,p", list(_conv_grid()) + STEM_CASES + STRIDE1_CASES)
 def test_conv_matches_nested_loop_oracle(k, s, d, p):
-    rng = np.random.default_rng(1000 + 100 * k + 10 * s + d + p)
+    kh, kw = T._pair(k)
+    rng = np.random.default_rng(1000 + 100 * kh + 10 * s + d + p + 1000 * (kh != kw) * kw)
     x = t64(rng.normal(size=(2, 3, 11, 9)))
-    w = t64(rng.normal(size=(4, 3, k, k)))
+    w = t64(rng.normal(size=(4, 3, kh, kw)))
     out = T.conv2d(x, w, stride=s, dilation=d, padding=p)
     g, (dx, dw) = _engine_grads(out, rng, x, w)
     want, want_dx, want_dw = naive_conv(x.data, w.data, s, d, p, g)
@@ -600,3 +609,31 @@ def test_conv_keeps_its_input_not_its_column_matrix():
     assert held < 1.1 * out.data.nbytes, held / out.data.nbytes
     out.backward(np.ones_like(out.data))
     assert w.grad.shape == w.data.shape
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_stride1_conv_backward_gathers_the_output_gradient_once(monkeypatch, stride):
+    # stride 1: one gather of the output gradient serves both gradients, so
+    # no scatter and no rebuilt column matrix; stride 2 rebuilds x's matrix
+    # for the weight gradient and scatters the input gradient
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(arr, *args):
+            calls.append((name, arr.shape))
+            return fn(arr, *args)
+        monkeypatch.setattr(T, name, wrapped)
+
+    spy("_im2col", T._im2col)
+    spy("_col2im", T._col2im)
+    rng = np.random.default_rng(480 + stride)
+    x = t64(rng.normal(size=(2, 3, 9, 8)))
+    w = t64(rng.normal(size=(4, 3, 3, 3)))
+    out = T.conv2d(x, w, stride=stride, padding=1)
+    del calls[:]
+    out.backward(rng.normal(size=out.data.shape))
+    if stride == 1:
+        assert calls == [("_im2col", out.data.shape)]
+    else:
+        assert calls == [("_im2col", x.data.shape), ("_col2im", (2, 3, 3, 3, 5, 4))]
+    assert x.grad.shape == x.data.shape and w.grad.shape == w.data.shape
