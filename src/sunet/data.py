@@ -163,6 +163,14 @@ def generate_synthetic(spec: SyntheticSpec, count: int, out_dir: str,
                            IGNORE_INDEX, split, tuple(entries))
 
 
+def _integer(value) -> int:
+    """int(value), refusing what int() would round or parse (4.9, "4")."""
+    out = int(value)
+    if out != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return out
+
+
 def load_manifest(path: str) -> DatasetManifest:
     """Read a manifest.json; checks that every referenced file exists and
     that the ignore label lies above every class index and fits a mask byte."""
@@ -173,11 +181,11 @@ def load_manifest(path: str) -> DatasetManifest:
         raise DataError(f"{path}: not valid JSON ({exc})") from None
     root = os.path.dirname(os.path.abspath(path))
     try:
-        classes = int(doc["classes"])
-        ignore = int(doc.get("ignore_index", IGNORE_INDEX))
+        classes = _integer(doc["classes"])
+        ignore = _integer(doc.get("ignore_index", IGNORE_INDEX))
         split = str(doc.get("split", "train"))
         entries = tuple((str(e["image"]), str(e["mask"])) for e in doc["entries"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed manifest ({exc})") from None
     if classes < 2:
         raise DataError(f"{path}: classes must be >= 2, got {classes}")

@@ -6,6 +6,7 @@ binary PPM (P6), label rasters binary PGM (P5), both 8-bit.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 
@@ -53,7 +54,8 @@ def read_tensor(path) -> np.ndarray:
         raise DataError(f"{path}: unknown dtype code {code}")
     shape = _unpack("<4Q", blob, 9, path)
     start = 9 + 32
-    expect = int(np.prod(shape)) * dtype.itemsize
+    # Python integers: a uint64 shape's product wraps in numpy's int64
+    expect = math.prod(shape) * dtype.itemsize
     if len(blob) - start != expect:
         raise DataError(f"{path}: payload is {len(blob) - start} bytes, expected {expect}")
     arr = np.frombuffer(blob, dtype=dtype, offset=start).reshape(shape)
@@ -152,10 +154,10 @@ def read_checkpoint(path):
     base = pos
     entries = {}
     for name, dtype, shape, offset, nbytes in rows:
-        expect = int(np.prod(shape)) * dtype.itemsize
-        if nbytes != expect or base + offset + nbytes > len(blob):
+        count = math.prod(shape)
+        if nbytes != count * dtype.itemsize or base + offset + nbytes > len(blob):
             raise DataError(f"{path}: entry {name!r} is truncated or mis-sized")
-        arr = np.frombuffer(blob, dtype=dtype, offset=base + offset, count=int(np.prod(shape)))
+        arr = np.frombuffer(blob, dtype=dtype, offset=base + offset, count=count)
         entries[name] = arr.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
     return entries, iteration, digest
 

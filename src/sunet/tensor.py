@@ -8,22 +8,26 @@ regardless of the tensor dtype, over views or small buffers rather than
 float64 copies of whole activations; matrix contractions run in the
 tensor dtype through BLAS.
 
-Convolutions gather patches with _im2col and scatter them back with
-_col2im, both clipping each kernel tap to the unpadded input, so no
-padded copy is built. The per-tap slices (the tap plan) are cached per
-shape. A 1x1, stride-1, unpadded conv (the pointwise path) skips both:
-its input is already the column matrix. The backward of any other
-stride-1 conv whose input needs a gradient gathers the output gradient
-once and scatters nothing; strided convs rebuild the input's column
-matrix and scatter the input gradient with _col2im.
+conv2d runs a conv, conv2d_transpose the adjoint of the conv with its
+weight, and linear the pointwise conv (1x1, stride 1, no padding),
+whose input is already its column matrix. Other convs gather patches
+with _im2col and scatter them back with _col2im, both clipping each
+kernel tap to the unpadded input, so no padded copy is built; the
+per-tap slices (the tap plan) are cached per shape. A conv's adjoint is
+one matmul on the pointwise path, one gather with the flipped kernel at
+stride 1, and a matmul and a _col2im scatter when strided. So conv2d's
+input gradient and conv2d_transpose's forward scatter only when
+strided, and at stride 1 conv2d's gathered matrix gives its weight
+gradient too.
 
 A backward closure keeps only the arrays it reads, captured when the op
 runs, and never reads a parent's values later:
 - conv2d keeps x's array when the weight needs a gradient, and pairs it
   in backward with the gathered output gradient (stride 1) or with its
   rebuilt column matrix (the pointwise path keeps a view of x, which is
-  its matrix);
-- conv2d_transpose keeps a view of x, linear a view of its input;
+  its matrix); linear is conv2d and keeps the same;
+- conv2d_transpose keeps x's array when the weight needs a gradient,
+  and pairs it with the column matrix of the output gradient;
 - batchnorm keeps its centred copy in training mode, x in eval mode,
   and with relu=True also its own output, whose sign is the ReLU mask;
 - relu keeps a boolean mask of its positive outputs;
@@ -304,84 +308,98 @@ def _col2im(col: np.ndarray, h: int, w: int, kh: int, kw: int, sh: int, sw: int,
     return x
 
 
+# ------------------------------------------------------ the conv core
+
+def _pointwise(k, s, p) -> bool:
+    return (k, s, p) == ((1, 1), (1, 1), (0, 0))
+
+
+def _columns(a: np.ndarray, k, s, d, p, out_hw) -> np.ndarray:
+    """The (n, c*kh*kw, ho*wo) column matrix of a conv over a: a view of a
+    on the pointwise path, its _im2col matrix otherwise."""
+    n, c, h, w = a.shape
+    if _pointwise(k, s, p):
+        return a.reshape(n, c, h * w)
+    return _im2col(a, *k, *s, *d, *p, *out_hw).reshape(n, c * k[0] * k[1], -1)
+
+
+def _adjoint(g: np.ndarray, w: np.ndarray, s, d, p, in_hw):
+    """Map g from the output grid of the conv with weight w (co, ci, kh, kw)
+    back to its (n, ci, h, w) input grid; returns (result, gathered).
+
+    At stride 1 the adjoint is a stride-1 conv of g with w flipped in both
+    spatial axes and its channel axes swapped: g is gathered once over
+    the input extent padded by d*(k-1) - p (negative pads clip), and that
+    matrix, whose tap u is the conv's tap k-1-u, is returned as gathered.
+    Otherwise gathered is None: the result is w's transpose times g,
+    scattered with _col2im unless the conv is pointwise.
+    """
+    n, co, ho, wo = g.shape
+    _, ci, kh, kw = w.shape
+    if s == (1, 1) and not _pointwise((kh, kw), s, p):
+        q = (d[0] * (kh - 1) - p[0], d[1] * (kw - 1) - p[1])
+        gathered = _columns(g, (kh, kw), s, d, q, in_hw)
+        w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * kh * kw)
+        return np.matmul(w_flip, gathered).reshape(n, ci, *in_hw), gathered
+    col = np.matmul(w.reshape(co, -1).T, g.reshape(n, co, ho * wo))
+    if _pointwise((kh, kw), s, p):
+        return col.reshape(n, ci, *in_hw), None
+    return _col2im(col.reshape(n, ci, kh, kw, ho, wo), *in_hw, kh, kw, *s, *d, *p), None
+
+
+def _check_conv(op: str, x: Tensor, weight: Tensor, bias: Tensor | None,
+                transposed: bool) -> None:
+    """Dtype, channel and bias-shape checks of the conv ops; weight is
+    (c_out, c_in, kh, kw), or (c_in, c_out, kh, kw) when transposed."""
+    _check_dtype(op, *((x, weight) if bias is None else (x, weight, bias)))
+    co, ciw = weight.data.shape[:2][::-1] if transposed else weight.data.shape[:2]
+    if x.data.shape[1] != ciw:
+        raise EngineError(f"{op}: input has {x.data.shape[1]} channels, weight expects {ciw}")
+    if bias is not None and bias.data.shape != (1, co, 1, 1):
+        raise EngineError(f"{op}: bias shape {bias.data.shape} != (1, {co}, 1, 1)")
+
+
 # ----------------------------------------------------------------- ops
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride=1, dilation=1, padding=0) -> Tensor:
     """2-D convolution (cross-correlation) with stride and dilation.
 
-    The forward is one batched matmul of the weight with the im2col
-    matrix of x. That matrix is freed when the forward returns: when the
-    weight needs a gradient the tape keeps x's array instead. A 1x1 conv
-    at stride 1 without padding uses a view of x as the matrix, and its
-    input gradient is the matmul alone, with no col2im.
-
-    Any other stride-1 conv whose input needs a gradient gathers the
-    output gradient g once, as the im2col matrix G of a stride-1 conv
-    over x's extent padded by d*(k-1) - p (negative pads clip), whose
-    tap u is the forward's tap k-1-u. Then dx is G times the weight
-    flipped in both spatial axes with its channel axes swapped, and dw
-    is G times x's transpose with the taps flipped back: no col2im and
-    no rebuilt matrix. A strided conv, or one whose input needs no
-    gradient, rebuilds x's matrix for the weight gradient and scatters
-    the input gradient with col2im.
+    The forward is one batched matmul of the weight with x's column
+    matrix, freed when the forward returns: when the weight needs a
+    gradient the tape keeps x's array instead. The input gradient is the
+    conv's _adjoint of the output gradient g. The weight gradient is g's
+    gathered matrix times x's transpose, taps flipped back, at stride 1;
+    otherwise g times x's rebuilt column matrix (a view on the pointwise
+    path).
     """
-    _check_dtype("conv2d", *( (x, weight, bias) if bias is not None else (x, weight) ))
-    sh, sw = _pair(stride)
-    dh, dw = _pair(dilation)
-    ph, pw = _pair(padding)
+    _check_conv("conv2d", x, weight, bias, transposed=False)
+    s, d, p = _pair(stride), _pair(dilation), _pair(padding)
     n, ci, h, w = x.data.shape
-    co, ciw, kh, kw = weight.data.shape
-    if ci != ciw:
-        raise EngineError(f"conv2d: input has {ci} channels, weight expects {ciw}")
-    ho = conv_out_size(h, kh, sh, dh, ph)
-    wo = conv_out_size(w, kw, sw, dw, pw)
-    pointwise = (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0)
-
-    def columns(xd):
-        if pointwise:
-            return xd.reshape(n, ci, h * w)
-        return _im2col(xd, kh, kw, sh, sw, dh, dw, ph, pw, ho, wo).reshape(
-            n, ci * kh * kw, ho * wo)
-
-    w2 = weight.data.reshape(co, ci * kh * kw)
-    out = np.matmul(w2, columns(x.data)).reshape(n, co, ho, wo)
+    wd = weight.data
+    co, _, kh, kw = wd.shape
+    ho = conv_out_size(h, kh, s[0], d[0], p[0])
+    wo = conv_out_size(w, kw, s[1], d[1], p[1])
+    out = np.matmul(wd.reshape(co, -1), _columns(x.data, (kh, kw), s, d, p, (ho, wo)))
+    out = out.reshape(n, co, ho, wo)
     if bias is not None:
-        if bias.data.shape != (1, co, 1, 1):
-            raise EngineError(f"conv2d: bias shape {bias.data.shape} != (1, {co}, 1, 1)")
         out += bias.data
     xd = x.data if weight.requires_grad else None
-    gather =not pointwise and (sh, sw) == (1, 1) and x.requires_grad
 
     def backward(grad):
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1), owned=True)
-        if gather:
-            # G[:, o, u, v, y, z] = grad[:, o, y + u*dh - qh, z + v*dw - qw]
-            # is tap (kh-1-u, kw-1-v) of the forward seen from input (y, z)
-            qh, qw = dh * (kh - 1) - ph, dw * (kw - 1) - pw
-            gcol = _im2col(grad, kh, kw, 1, 1, dh, dw, qh, qw, h, w).reshape(
-                n, co * kh * kw, h * w)
-            if weight.requires_grad:
-                dw_flip = np.matmul(gcol, xd.reshape(n, ci, h * w).transpose(0, 2, 1)).sum(axis=0)
-                dw_flip = dw_flip.reshape(co, kh, kw, ci)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
-                weight._accumulate(np.ascontiguousarray(dw_flip), owned=True)
-            w_flip = w2.reshape(co, ci, kh, kw)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            dx = np.matmul(w_flip.reshape(ci, co * kh * kw), gcol)
-            x._accumulate(dx.reshape(n, ci, h, w), owned=True)
-            return
-        g = grad.reshape(n, co, ho * wo)
+        dx, gathered = _adjoint(grad, wd, s, d, p, (h, w)) if x.requires_grad else (None, None)
         if weight.requires_grad:
-            dw_flat = np.matmul(g, columns(xd).transpose(0, 2, 1)).sum(axis=0)
-            weight._accumulate(dw_flat.reshape(co, ci, kh, kw), owned=True)
-        if x.requires_grad:
-            dcol = np.matmul(w2.T, g)
-            if pointwise:
-                dcol = dcol.reshape(n, ci, h, w)
+            if gathered is not None:
+                dw = np.matmul(gathered, xd.reshape(n, ci, h * w).transpose(0, 2, 1)).sum(axis=0)
+                dw = dw.reshape(co, kh, kw, ci)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
             else:
-                dcol = _col2im(dcol.reshape(n, ci, kh, kw, ho, wo),
-                               h, w, kh, kw, sh, sw, dh, dw, ph, pw)
-            x._accumulate(dcol, owned=True)
+                cols = _columns(xd, (kh, kw), s, d, p, (ho, wo))
+                dw = np.matmul(grad.reshape(n, co, -1), cols.transpose(0, 2, 1)).sum(axis=0)
+            weight._accumulate(np.ascontiguousarray(dw).reshape(wd.shape), owned=True)
+        if dx is not None:
+            x._accumulate(dx, owned=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _result(out, parents, backward)
@@ -391,44 +409,38 @@ def conv2d_transpose(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                      stride=1, dilation=1, padding=0, output_padding=0) -> Tensor:
     """Adjoint of conv2d with the same attributes.
 
-    weight is (c_in, c_out, kh, kw); output_padding resolves the output
-    size ambiguity and must be smaller than the stride. The forward
-    scatters the patch matrix with _col2im, the backward gathers the
-    output gradient with _im2col; neither pads.
+    weight is (c_in, c_out, kh, kw), the weight of the conv from this op's
+    output grid to its input grid. output_padding resolves the output size
+    ambiguity and must be smaller than the stride. The forward is that
+    conv's _adjoint of x: one gather of x at stride 1, a _col2im scatter
+    when strided. The backward is the conv itself: the weight times the
+    output gradient's column matrix, and that matrix times x's transpose
+    is the weight gradient.
     """
-    _check_dtype("conv2d_transpose", *( (x, weight, bias) if bias is not None else (x, weight) ))
-    sh, sw = _pair(stride)
-    dh, dw = _pair(dilation)
-    ph, pw = _pair(padding)
-    oph, opw = _pair(output_padding)
-    if oph >= sh or opw >= sw:
-        raise EngineError(f"conv2d_transpose: output_padding {(oph, opw)} must be < stride {(sh, sw)}")
+    _check_conv("conv2d_transpose", x, weight, bias, transposed=True)
+    s, d, p, op = _pair(stride), _pair(dilation), _pair(padding), _pair(output_padding)
+    if op[0] >= s[0] or op[1] >= s[1]:
+        raise EngineError(f"conv2d_transpose: output_padding {op} must be < stride {s}")
     n, ci, h, w = x.data.shape
-    ciw, co, kh, kw = weight.data.shape
-    if ci != ciw:
-        raise EngineError(f"conv2d_transpose: input has {ci} channels, weight expects {ciw}")
-    ho = tconv_out_size(h, kh, sh, dh, ph, oph)
-    wo = tconv_out_size(w, kw, sw, dw, pw, opw)
-    w2 = weight.data.reshape(ci, co * kh * kw)
-    xf = x.data.reshape(n, ci, h * w)
-    col = np.matmul(w2.T, xf).reshape(n, co, kh, kw, h, w)
-    out = _col2im(col, ho, wo, kh, kw, sh, sw, dh, dw, ph, pw)
+    wd = weight.data
+    _, co, kh, kw = wd.shape
+    ho = tconv_out_size(h, kh, s[0], d[0], p[0], op[0])
+    wo = tconv_out_size(w, kw, s[1], d[1], p[1], op[1])
+    out = _adjoint(x.data, wd, s, d, p, (ho, wo))[0]
     if bias is not None:
-        if bias.data.shape != (1, co, 1, 1):
-            raise EngineError(f"conv2d_transpose: bias shape {bias.data.shape} != (1, {co}, 1, 1)")
-        out = out + bias.data
+        out += bias.data
+    xd = x.data if weight.requires_grad else None
 
     def backward(grad):
-        gcol = _im2col(grad, kh, kw, sh, sw, dh, dw, ph, pw, h, w).reshape(
-            n, co * kh * kw, h * w)
-        if x.requires_grad:
-            dx = np.matmul(w2, gcol).reshape(n, ci, h, w)
-            x._accumulate(dx, owned=True)
-        if weight.requires_grad:
-            dw_flat = np.matmul(gcol, xf.transpose(0, 2, 1)).sum(axis=0)
-            weight._accumulate(dw_flat.T.reshape(ci, co, kh, kw), owned=True)
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1), owned=True)
+        gcol = _columns(grad, (kh, kw), s, d, p, (h, w))
+        if weight.requires_grad:
+            dw = np.matmul(gcol, xd.reshape(n, ci, h * w).transpose(0, 2, 1)).sum(axis=0)
+            weight._accumulate(dw.T.reshape(wd.shape), owned=True)
+        if x.requires_grad:
+            dx = np.matmul(wd.reshape(ci, -1), gcol)
+            x._accumulate(dx.reshape(n, ci, h, w), owned=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _result(out, parents, backward)
@@ -621,34 +633,13 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Fully connected layer on (n, c, 1, 1) tensors; weight is (k, c, 1, 1)."""
-    _check_dtype("linear", *( (x, weight, bias) if bias is not None else (x, weight) ))
-    n, c, h, w = x.data.shape
-    if (h, w) != (1, 1):
+    """Fully connected layer on (n, c, 1, 1) tensors; weight is (k, c, 1, 1).
+
+    It is the pointwise conv: conv2d of the 1x1 input with the 1x1 weight.
+    """
+    if x.data.shape[2:] != (1, 1):
         raise EngineError(f"linear expects (n, c, 1, 1) input, got {x.data.shape}")
-    k, cw = weight.data.shape[:2]
-    if cw != c:
-        raise EngineError(f"linear: input has {c} features, weight expects {cw}")
-    x2 = x.data.reshape(n, c)
-    w2 = weight.data.reshape(k, c)
-    out2 = x2 @ w2.T
-    if bias is not None:
-        if bias.data.shape != (1, k, 1, 1):
-            raise EngineError(f"linear: bias shape {bias.data.shape} != (1, {k}, 1, 1)")
-        out2 = out2 + bias.data.reshape(1, k)
-    out = out2.reshape(n, k, 1, 1)
-
-    def backward(grad):
-        g2 = grad.reshape(n, k)
-        if weight.requires_grad:
-            weight._accumulate((g2.T @ x2).reshape(k, c, 1, 1), owned=True)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g2.sum(axis=0).reshape(1, k, 1, 1), owned=True)
-        if x.requires_grad:
-            x._accumulate((g2 @ w2).reshape(n, c, 1, 1), owned=True)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _result(out, parents, backward)
+    return conv2d(x, weight, bias)
 
 
 _resize_cache: dict[tuple[int, int], np.ndarray] = {}

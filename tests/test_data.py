@@ -90,6 +90,21 @@ def test_manifest_ignore_index_outside_classes_and_byte_rejected(tmp_path, ignor
     assert "ignore_index" in str(err.value)
 
 
+@pytest.mark.parametrize("field,value", [("classes", "four"), ("ignore_index", "x"),
+                                         ("classes", 4.9), ("ignore_index", 254.5),
+                                         ("classes", "4")])
+def test_manifest_non_integer_field_names_the_manifest(tmp_path, field, value):
+    generate_synthetic(SyntheticSpec(canvas_hw=(24, 24), classes=4, seed=1), 1,
+                       tmp_path / "d")
+    path = tmp_path / "d" / "manifest.json"
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="malformed manifest") as err:
+        load_manifest(path)
+    assert str(path) in str(err.value)
+
+
 @pytest.mark.parametrize("ignore", [4, 254, 255])
 def test_manifest_ignore_index_in_range_loads(tmp_path, ignore):
     generate_synthetic(SyntheticSpec(canvas_hw=(24, 24), classes=4, seed=1), 1,

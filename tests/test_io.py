@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,28 @@ def test_tensor_truncated_header_is_data_error(tmp_path):
     p.write_bytes(p.read_bytes()[:20])
     with pytest.raises(DataError, match="t.sutn"):
         sio.read_tensor(p)
+
+
+# (2**32, 2**32, 1, 1) elements: the product wraps to 0 in int64, so a
+# header that claims them with an empty payload must still be refused
+HUGE = (2 ** 32, 2 ** 32, 1, 1)
+
+
+def test_tensor_header_shape_overflow_is_data_error(tmp_path):
+    p = tmp_path / "t.sutn"
+    p.write_bytes(sio.TENSOR_MAGIC + struct.pack("<IB", sio.FORMAT_VERSION, 0)
+                  + struct.pack("<4Q", *HUGE))
+    with pytest.raises(DataError, match="t.sutn: payload is 0 bytes"):
+        sio.read_tensor(p)
+
+
+def test_checkpoint_header_shape_overflow_is_data_error(tmp_path):
+    p = tmp_path / "c.sunc"
+    p.write_bytes(sio.CHECKPOINT_MAGIC + struct.pack("<IQ", sio.FORMAT_VERSION, 1)
+                  + struct.pack("<H", 0) + struct.pack("<I", 1)
+                  + struct.pack("<H", 1) + b"a" + struct.pack("<B4QQQ", 0, *HUGE, 0, 0))
+    with pytest.raises(DataError, match="c.sunc: entry 'a' is truncated or mis-sized"):
+        sio.read_checkpoint(p)
 
 
 def test_ppm_round_trip(tmp_path):

@@ -450,11 +450,23 @@ def _tconv_grid(narrow=5):
                 yield k, s, d, p, op
 
 
-@pytest.mark.parametrize("k,s,d,p,op", list(_tconv_grid()))
+# stride-1 cases for the gathering forward: outer taps that miss the 7x5
+# input entirely, and non-square kernels (a (5, 3) kernel at p=5 would
+# collapse the 5-wide axis, so the second one stands the other way up)
+TCONV_STRIDE1_CASES = [
+    (3, 1, 6, 6, 0), (3, 1, 12, 12, 0),
+    pytest.param((3, 1), 1, 1, 1, 0, id="3x1-1-1-1-0"),
+    pytest.param((3, 5), 1, 2, 5, 0, id="3x5-1-2-5-0"),
+]
+
+
+@pytest.mark.parametrize("k,s,d,p,op", list(_tconv_grid()) + TCONV_STRIDE1_CASES)
 def test_tconv_matches_nested_loop_oracle(k, s, d, p, op):
-    rng = np.random.default_rng(2000 + 100 * k + 10 * s + d + p + 7 * op)
+    kh, kw = T._pair(k)
+    rng = np.random.default_rng(2000 + 100 * kh + 10 * s + d + p + 7 * op
+                                + 1000 * (kh != kw) * kw)
     x = t64(rng.normal(size=(2, 3, 7, 5)))
-    w = t64(rng.normal(size=(3, 4, k, k)))
+    w = t64(rng.normal(size=(3, 4, kh, kw)))
     out = T.conv2d_transpose(x, w, stride=s, dilation=d, padding=p, output_padding=op)
     g, (dx, dw) = _engine_grads(out, rng, x, w)
     want, want_dx, want_dw = naive_tconv(x.data, w.data, s, d, p, op, g)
@@ -611,21 +623,23 @@ def test_conv_keeps_its_input_not_its_column_matrix():
     assert w.grad.shape == w.data.shape
 
 
+def _spy_patches(monkeypatch):
+    """Record (name, first argument's shape) for each _im2col/_col2im call."""
+    calls = []
+    for name in ("_im2col", "_col2im"):
+        def wrapped(arr, *args, _name=name, _fn=getattr(T, name)):
+            calls.append((_name, arr.shape))
+            return _fn(arr, *args)
+        monkeypatch.setattr(T, name, wrapped)
+    return calls
+
+
 @pytest.mark.parametrize("stride", [1, 2])
 def test_stride1_conv_backward_gathers_the_output_gradient_once(monkeypatch, stride):
     # stride 1: one gather of the output gradient serves both gradients, so
     # no scatter and no rebuilt column matrix; stride 2 rebuilds x's matrix
     # for the weight gradient and scatters the input gradient
-    calls = []
-
-    def spy(name, fn):
-        def wrapped(arr, *args):
-            calls.append((name, arr.shape))
-            return fn(arr, *args)
-        monkeypatch.setattr(T, name, wrapped)
-
-    spy("_im2col", T._im2col)
-    spy("_col2im", T._col2im)
+    calls = _spy_patches(monkeypatch)
     rng = np.random.default_rng(480 + stride)
     x = t64(rng.normal(size=(2, 3, 9, 8)))
     w = t64(rng.normal(size=(4, 3, 3, 3)))
@@ -635,5 +649,48 @@ def test_stride1_conv_backward_gathers_the_output_gradient_once(monkeypatch, str
     if stride == 1:
         assert calls == [("_im2col", out.data.shape)]
     else:
-        assert calls == [("_im2col", x.data.shape), ("_col2im", (2, 3, 3, 3, 5, 4))]
+        # one scatter for the input gradient, one rebuild for the weight's
+        assert sorted(calls) == [("_col2im", (2, 3, 3, 3, 5, 4)), ("_im2col", x.data.shape)]
     assert x.grad.shape == x.data.shape and w.grad.shape == w.data.shape
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_tconv_forward_gathers_at_stride1_and_scatters_when_strided(monkeypatch, stride):
+    # the forward is the adjoint of a conv: at stride 1 a gather of x with
+    # the flipped weight, when strided a scatter of the patch matrix
+    calls = _spy_patches(monkeypatch)
+    rng = np.random.default_rng(490 + stride)
+    x = t64(rng.normal(size=(2, 4, 5, 6)))
+    w = t64(rng.normal(size=(4, 3, 3, 3)))
+    out = T.conv2d_transpose(x, w, stride=stride, dilation=2, padding=2,
+                             output_padding=stride - 1)
+    if stride == 1:
+        assert calls == [("_im2col", x.data.shape)]
+    else:
+        assert calls == [("_col2im", (2, 3, 3, 3, 5, 6))]
+    del calls[:]
+    out.backward(rng.normal(size=out.data.shape))
+    assert calls == [("_im2col", out.data.shape)]
+
+
+def test_linear_rejects_spatial_input():
+    x = Tensor(np.zeros((2, 3, 2, 2), dtype=np.float32))
+    w = Tensor(np.zeros((4, 3, 1, 1), dtype=np.float32))
+    with pytest.raises(EngineError, match="linear expects"):
+        T.linear(x, w)
+
+
+def test_linear_is_the_pointwise_conv_bit_for_bit():
+    rng = np.random.default_rng(500)
+    arrays = [rng.normal(size=shape).astype(np.float32)
+              for shape in ((5, 6, 1, 1), (3, 6, 1, 1), (1, 3, 1, 1))]
+    seed = rng.normal(size=(5, 3, 1, 1)).astype(np.float32)
+
+    def run(op):
+        x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        out = op(x, w, b)
+        out.backward(seed)
+        return out.data, x.grad, w.grad, b.grad
+
+    for got, want in zip(run(T.linear), run(T.conv2d)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
