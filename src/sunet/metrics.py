@@ -6,6 +6,8 @@ straight off the matrix.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .augment import resize_bilinear
@@ -107,8 +109,10 @@ def multi_scale_inference(net, image: np.ndarray, scales=(1.0,),
     """
     if len(scales) == 0:
         raise EvalError("need at least one scale")
-    if any(s <= 0 for s in scales):
-        raise EvalError(f"scales must be positive, got {tuple(scales)}")
+    for s in scales:
+        if not 0 < s < math.inf:  # NaN fails too
+            raise EvalError(f"scale {s} is not finite and positive "
+                            f"(scales {tuple(scales)})")
     c, h, w = image.shape
     total = None
     count = 0

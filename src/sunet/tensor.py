@@ -642,28 +642,33 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return conv2d(x, weight, bias)
 
 
-_resize_cache: dict[tuple[int, int], np.ndarray] = {}
+@functools.lru_cache(maxsize=256)
+def _resize_taps(src: int, dst: int) -> tuple[np.ndarray, ...]:
+    """Half-pixel bilinear taps of a src -> dst resize along one axis.
+
+    Output i is ``w0[i]·x[lo0[i]] + w1[i]·x[lo1[i]]`` with float64
+    weights; both indexes are clamped to the edge and never decrease
+    with i. Cached per (src, dst); the arrays are read-only.
+    """
+    pos = (np.arange(dst) + 0.5) * (src / dst) - 0.5
+    lo = np.floor(pos).astype(np.intp)
+    frac = pos - lo
+    taps = (np.clip(lo, 0, src - 1), np.clip(lo + 1, 0, src - 1),
+            1.0 - frac, frac)
+    for a in taps:
+        a.flags.writeable = False
+    return taps
 
 
+@functools.lru_cache(maxsize=256)
 def _resize_matrix(src: int, dst: int) -> np.ndarray:
     """Row-stochastic bilinear interpolation matrix (dst, src), float64."""
-    key = (src, dst)
-    cached = _resize_cache.get(key)
-    if cached is not None:
-        return cached
+    lo0, lo1, w0, w1 = _resize_taps(src, dst)
     r = np.zeros((dst, src), dtype=np.float64)
-    scale = src / dst
-    pos = (np.arange(dst) + 0.5) * scale - 0.5
-    lo = np.floor(pos).astype(np.int64)
-    frac = pos - lo
-    lo0 = np.clip(lo, 0, src - 1)
-    lo1 = np.clip(lo + 1, 0, src - 1)
     rows = np.arange(dst)
-    np.add.at(r, (rows, lo0), 1.0 - frac)
-    np.add.at(r, (rows, lo1), frac)
-    if len(_resize_cache) > 256:
-        _resize_cache.clear()
-    _resize_cache[key] = r
+    np.add.at(r, (rows, lo0), w0)
+    np.add.at(r, (rows, lo1), w1)
+    r.flags.writeable = False
     return r
 
 

@@ -191,6 +191,16 @@ def test_eval_multi_scale_flip(pipeline, capsys):
     assert "mIoU:" in out
 
 
+@pytest.mark.parametrize("cmd", ["eval", "infer"])
+def test_non_finite_scale_exits_1(pipeline, tmp_path, capsys, cmd):
+    extra = ["--out", str(tmp_path / "pred")] if cmd == "infer" else []
+    rc, _, err = run(capsys, cmd, "--graph", pipeline["seg"],
+                     "--checkpoint", pipeline["ckpt"],
+                     "--data", pipeline["manifest"], "--scales", "1.0,inf", *extra)
+    assert rc == 1
+    assert "scale inf is not finite" in err
+
+
 def test_infer_writes_predictions(pipeline, tmp_path, capsys):
     out_dir = str(tmp_path / "pred")
     rc, out, _ = run(capsys, "infer", "--graph", pipeline["seg"],

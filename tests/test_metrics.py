@@ -204,6 +204,15 @@ def test_bad_scales_rejected():
         multi_scale_inference(net, x, scales=(0.0,))
 
 
+@pytest.mark.parametrize("bad,name", [(float("inf"), "inf"), (float("nan"), "nan"),
+                                      (float("-inf"), "-inf"), (-0.5, "-0.5")])
+def test_non_finite_scale_names_the_value(bad, name):
+    net = seg_net()
+    x = np.zeros((3, 64, 64), dtype=np.float32)
+    with pytest.raises(EvalError, match=f"scale {name} is not finite and positive"):
+        multi_scale_inference(net, x, scales=(1.0, bad))
+
+
 def test_predict_labels_dtype():
     net = seg_net()
     x = np.zeros((3, 64, 64), dtype=np.float32)
