@@ -11,8 +11,8 @@ from .augment import AugmentConfig, augment_sample, resize_bilinear, sample_rng
 from .data import (Dataset, DatasetManifest, SyntheticSpec, generate_synthetic,
                    load_manifest, normalize_image)
 from .graph import GraphError, NetworkGraph
-from .io import (DataError, read_checkpoint, read_pgm, read_ppm, read_tensor,
-                 write_checkpoint, write_pgm, write_ppm, write_tensor)
+from .io import (DataError, read_checkpoint, read_pgm, read_ppm,
+                 write_checkpoint, write_pgm, write_ppm)
 from .metrics import (SCALE_PRESETS, ConfusionMatrix, EvalError, evaluate,
                       miou, multi_scale_inference, predict_labels)
 from .optim import (OPTIMIZER_PRESETS, SGD, CosineSchedule, OptimizerConfig,
@@ -39,8 +39,7 @@ __all__ = [
     "load_checkpoint", "load_manifest", "miou", "module_graph",
     "multi_scale_inference", "no_grad", "normalize_image", "param_counts",
     "param_shapes", "predict_labels", "preset", "read_checkpoint", "read_pgm",
-    "read_ppm", "read_tensor", "receptive_field", "report_csv",
-    "resize_bilinear", "sample_rng", "save_checkpoint", "spatial_trace",
-    "to_segmentation", "toy_config", "train", "write_checkpoint", "write_pgm",
-    "write_ppm", "write_tensor",
+    "read_ppm", "receptive_field", "report_csv", "resize_bilinear",
+    "sample_rng", "save_checkpoint", "spatial_trace", "to_segmentation",
+    "toy_config", "train", "write_checkpoint", "write_pgm", "write_ppm",
 ]

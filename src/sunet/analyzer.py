@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import GraphError, NetworkGraph
-from .io import write_pgm, write_tensor
+from .io import write_checkpoint, write_pgm
 from .runtime import param_shapes
 from .tensor import Tensor, no_grad
 
@@ -52,13 +52,13 @@ def count_layers(graph: NetworkGraph) -> int:
     and BN/ReLU are folded into their conv blocks.
     """
     return sum(1 for n in graph.nodes
-               if n.kind in ("conv", "tconv", "linear")
+               if n.kind in ("conv", "tconv")
                and n.tags.get("role") != "skip")
 
 
 def count_skip_layers(graph: NetworkGraph) -> int:
     return sum(1 for n in graph.nodes
-               if n.kind in ("conv", "tconv", "linear")
+               if n.kind in ("conv", "tconv")
                and n.tags.get("role") == "skip")
 
 
@@ -107,7 +107,7 @@ def _fields(graph: NetworkGraph, shapes) -> dict[str, tuple[RFState, RFState]]:
                         h.offset + Fraction(sh - 1, 2) * h.jump)
             w = RFState(w.rf + (sw - 1) * w.jump, w.jump * sw,
                         w.offset + Fraction(sw - 1, 2) * w.jump)
-        elif kind in ("bn", "relu", "grid_mask", "linear"):
+        elif kind in ("bn", "relu", "grid_mask"):
             pass
         elif kind in ("add", "concat"):
             for h2, w2 in srcs[1:]:
@@ -212,10 +212,11 @@ def dump_activations(net, x, out_dir: str) -> list[dict]:
     """Write per-level activation maps for one input.
 
     For every level-tagged node the channel with the largest L1 magnitude
-    is min-max scaled to 8-bit and written as a PGM, next to the full
-    activation tensor in the container format. Spatial network outputs
-    additionally produce an argmax prediction raster. Returns one record
-    per written level.
+    is min-max scaled to 8-bit and written as a PGM. The full activations
+    go to one checkpoint container, activations.sunc, bound to the graph
+    digest, as the entry act/<node> named by the record's tensor field.
+    Spatial network outputs additionally produce an argmax prediction
+    raster. Returns one record per written level.
     """
     levels = net.graph.tagged("level")
     if not levels:
@@ -229,8 +230,11 @@ def dump_activations(net, x, out_dir: str) -> list[dict]:
         out, grabbed = net.forward(x, training=False,
                                    collect=[n.name for n in levels])
     records = []
+    entries = {}
     for node in levels:
-        a = grabbed[node.name].data[0]
+        key = f"act/{node.name}"
+        entries[key] = grabbed[node.name].data
+        a = entries[key][0]
         mags = np.abs(a).sum(axis=(1, 2))
         ch = int(np.argmax(mags))
         records.append({
@@ -238,8 +242,10 @@ def dump_activations(net, x, out_dir: str) -> list[dict]:
             "channel": ch,
             "raster": _write_level(out_dir, node.tags["level"], node.name,
                                    a, ch),
-            "tensor": _write_tensor(out_dir, node.tags["level"], node.name, a),
+            "tensor": key,
         })
+    write_checkpoint(os.path.join(out_dir, "activations.sunc"), entries,
+                     graph_digest=net.graph.digest)
     pred = out.data
     if pred.shape[2] > 1 and pred.shape[3] > 1:
         labels = np.argmax(pred[0], axis=0).astype(np.uint8)
@@ -259,10 +265,4 @@ def _write_level(out_dir, level, name, a, ch) -> str:
         scaled = np.zeros_like(img)
     path = os.path.join(out_dir, f"level{level}_{name}.pgm")
     write_pgm(path, scaled.astype(np.uint8))
-    return path
-
-
-def _write_tensor(out_dir, level, name, a) -> str:
-    path = os.path.join(out_dir, f"level{level}_{name}.sutn")
-    write_tensor(path, a[None].astype(np.float32))
     return path

@@ -3,8 +3,8 @@
 A network is a 7x7 stem conv, one strided residual pair, four stacks of
 u-net modules separated by 2x2 average-pool transitions, and a BN-ReLU.
 ``build_backbone`` emits that body at any per-block dilation rate; the
-classifier runs it at rate 1 and adds a global-average-pool /
-fully-connected head, and ``segment.to_segmentation`` runs the same
+classifier runs it at rate 1 and adds a global-average-pool head whose
+fully-connected layer is a 1x1 conv, and ``segment.to_segmentation`` runs the same
 body at the rates of its output stride. Presets mirror the published
 SUNet-64 / SUNet-128 / SUNet-7-128 configurations.
 """
@@ -150,7 +150,7 @@ def build_classifier(cfg: SUNetConfig, input_hw: tuple[int, int] = (224, 224),
     g.meta["features"] = "head.relu"
     cin = build_backbone(g, cfg, (1, 1, 1, 1), multigrid=False)
     g.add("head.gap", "gap", ["head.relu"], stage="pool")
-    g.add("head.fc", "linear", ["head.gap"], cin=cin, cout=cfg.num_classes,
-          bias=True)
+    g.add("head.fc", "conv", ["head.gap"], cin=cin, cout=cfg.num_classes,
+          k=(1, 1), s=(1, 1), d=(1, 1), p=(0, 0), bias=True)
     g.infer_shapes()  # reject a declared input size the graph cannot run at
     return g

@@ -30,10 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import IGNORE_INDEX
 from .io import DataError
 from .tensor import _resize_taps
-
-IGNORE_INDEX = 255
 
 
 @dataclass(frozen=True)
@@ -42,24 +41,23 @@ class AugmentConfig:
     scale_range: tuple[float, float] = (0.5, 2.0)
     max_rotate: float = 10.0
     hflip_prob: float = 0.5
-    ignore_index: int = IGNORE_INDEX
 
     def __post_init__(self):
         # written so that NaN fails every comparison
         lo, hi = self.scale_range
         if not 0 < lo <= hi < math.inf:
-            raise DataError(f"bad scale range {self.scale_range}: "
-                            f"need finite 0 < lo <= hi")
+            raise ValueError(f"bad scale range {self.scale_range}: "
+                             f"need finite 0 < lo <= hi")
         if not (len(self.crop_hw) == 2
                 and all(isinstance(v, (int, np.integer)) and v >= 1
                         for v in self.crop_hw)):
-            raise DataError(f"bad crop size {self.crop_hw}: "
-                            f"need two positive integers")
+            raise ValueError(f"bad crop size {self.crop_hw}: "
+                             f"need two positive integers")
         if not 0 <= self.max_rotate < math.inf:
-            raise DataError(f"bad max_rotate {self.max_rotate}: "
-                            f"need a finite angle >= 0")
+            raise ValueError(f"bad max_rotate {self.max_rotate}: "
+                             f"need a finite angle >= 0")
         if not 0 <= self.hflip_prob <= 1:
-            raise DataError(f"bad hflip_prob {self.hflip_prob}: need 0 <= p <= 1")
+            raise ValueError(f"bad hflip_prob {self.hflip_prob}: need 0 <= p <= 1")
 
 
 def sample_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -252,8 +250,12 @@ def _pad_to(img: np.ndarray, mask: np.ndarray, min_hw: tuple[int, int],
 
 
 def augment_sample(img: np.ndarray, mask: np.ndarray, cfg: AugmentConfig,
-                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                   rng: np.random.Generator, ignore_index: int = IGNORE_INDEX,
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Scale, rotate, crop and maybe flip one training pair.
+
+    Mask positions the sample does not cover take ignore_index, the
+    dataset's ignore label.
 
     Draw order is fixed (scale, angle, crop y, crop x, flip) and every
     draw happens on every call, so a config that disables a transform
@@ -286,8 +288,8 @@ def augment_sample(img: np.ndarray, mask: np.ndarray, cfg: AugmentConfig,
         img = resize_bilinear(img, out_hw)
         mask = resize_nearest(mask, out_hw)
         if angle != 0.0:
-            img, mask = rotate_pair(img, mask, angle, cfg.ignore_index)
-        img, mask = _pad_to(img, mask, cfg.crop_hw, cfg.ignore_index)
+            img, mask = rotate_pair(img, mask, angle, ignore_index)
+        img, mask = _pad_to(img, mask, cfg.crop_hw, ignore_index)
         img = img[:, y0:y0 + ch, x0:x0 + cw]
         mask = mask[y0:y0 + ch, x0:x0 + cw]
     elif angle == 0.0:
@@ -302,7 +304,7 @@ def augment_sample(img: np.ndarray, mask: np.ndarray, cfg: AugmentConfig,
             frame = (rows[0], cols[0], h, w)
         img = resize_bilinear(img, out_hw, block)
         mask = resize_nearest(mask, out_hw, block)
-        img, mask = rotate_pair(img, mask, angle, cfg.ignore_index,
+        img, mask = rotate_pair(img, mask, angle, ignore_index,
                                 window=window, frame=frame)
 
     if rng.random() < cfg.hflip_prob:

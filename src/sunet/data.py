@@ -36,16 +36,16 @@ class SyntheticSpec:
 
     def __post_init__(self):
         if self.classes < 2:
-            raise DataError(f"need at least 2 classes, got {self.classes}")
+            raise ValueError(f"need at least 2 classes, got {self.classes}")
         if self.classes - 1 > IGNORE_INDEX:
-            raise DataError("class index would collide with the ignore value")
+            raise ValueError("class index would collide with the ignore value")
         lo, hi = self.shapes_per_image
         if not 1 <= lo <= hi:
-            raise DataError(f"bad shapes-per-image range {self.shapes_per_image}")
+            raise ValueError(f"bad shapes-per-image range {self.shapes_per_image}")
         if min(self.canvas_hw) < 16:
-            raise DataError(f"canvas {self.canvas_hw} too small")
+            raise ValueError(f"canvas {self.canvas_hw} too small")
         if self.void_border < 0:
-            raise DataError(f"negative void border {self.void_border}")
+            raise ValueError(f"negative void border {self.void_border}")
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ def generate_synthetic(spec: SyntheticSpec, count: int, out_dir: str,
     so regeneration is byte-identical and order-independent.
     """
     if count < 0:
-        raise DataError(f"negative count {count}")
+        raise ValueError(f"negative count {count}")
     os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "masks"), exist_ok=True)
     h, w = spec.canvas_hw

@@ -1,9 +1,10 @@
 """Static network graphs.
 
 A NetworkGraph is an ordered DAG of primitive nodes (conv, tconv, bn,
-relu, pools, linear, add, concat, upsample, grid_mask). Builders append
-nodes in topological order; the executor, the analyzer and the converter
-all walk the same structure. Graphs serialize to a line-based text format
+relu, pools, add, concat, upsample, grid_mask); a fully-connected layer
+is a 1x1 conv on a 1x1 map. Builders append nodes in topological order;
+the executor, the analyzer and the converter all walk the same
+structure. Graphs serialize to a line-based text format
 closed by a sha256 content digest.
 
 Serialized tag keys (stage, level, role) are reserved and never used as
@@ -26,7 +27,7 @@ _TAG_KEYS = ("stage", "level", "role")
 # whose spatial extent it restores. Its output padding is derived from
 # the two extents wherever the graph runs, so it runs at any input size.
 KINDS = ("input", "conv", "tconv", "bn", "relu", "avg_pool", "gap",
-         "linear", "add", "concat", "upsample", "grid_mask")
+         "add", "concat", "upsample", "grid_mask")
 
 
 class GraphError(ValueError):
@@ -170,15 +171,6 @@ class NetworkGraph:
             graph.add(name, kind, inputs, **attrs)
         return graph
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.serialize())
-
-    @classmethod
-    def load(cls, path) -> "NetworkGraph":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.parse(fh.read())
-
 
 def _render(value) -> str:
     if isinstance(value, (tuple, list)):
@@ -234,11 +226,6 @@ def _node_shape(node: Node, src, in_hw) -> tuple[int, int, int]:
                 conv_out_size(w + pl + pr, ww, sw, dw, 0))
     if kind == "gap":
         return (src[0][0], 1, 1)
-    if kind == "linear":
-        c, h, w = src[0]
-        if (h, w) != (1, 1) or c != a["cin"]:
-            raise GraphError(f"node {node.name!r}: expects ({a['cin']}, 1, 1), got {src[0]}")
-        return (a["cout"], 1, 1)
     if kind == "add":
         if src[0] != src[1]:
             raise GraphError(f"node {node.name!r}: add of {src[0]} and {src[1]}")

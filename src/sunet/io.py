@@ -1,8 +1,8 @@
 """Binary containers and raster formats.
 
-Tensor snapshots use the SUTN container, checkpoints the SUNC container.
-Both are little-endian throughout and round-trip bit exactly. Images are
-binary PPM (P6), label rasters binary PGM (P5), both 8-bit.
+Checkpoints and activation dumps use the SUNC container of named 4-D
+float arrays, little-endian throughout, which round-trips bit exactly.
+Images are binary PPM (P6), label rasters binary PGM (P5), both 8-bit.
 """
 from __future__ import annotations
 
@@ -20,46 +20,8 @@ class DataError(ValueError):
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _CODE_FOR = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
-TENSOR_MAGIC = b"SUTN"
 CHECKPOINT_MAGIC = b"SUNC"
 FORMAT_VERSION = 1
-
-
-def write_tensor(path, array: np.ndarray) -> None:
-    """Write one 4-D float array as a SUTN container."""
-    arr = np.ascontiguousarray(array)
-    if arr.ndim != 4:
-        raise DataError(f"tensor containers hold 4-D arrays, got shape {arr.shape}")
-    code = _CODE_FOR.get(arr.dtype)
-    if code is None:
-        raise DataError(f"tensor containers hold float32/float64, got {arr.dtype}")
-    with open(path, "wb") as fh:
-        fh.write(TENSOR_MAGIC)
-        fh.write(struct.pack("<IB", FORMAT_VERSION, code))
-        fh.write(struct.pack("<4Q", *arr.shape))
-        fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
-
-
-def read_tensor(path) -> np.ndarray:
-    """Read a SUTN container back into a 4-D array."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != TENSOR_MAGIC:
-        raise DataError(f"{path}: not a tensor container (bad magic)")
-    version, code = _unpack("<IB", blob, 4, path)
-    if version != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported container version {version}")
-    dtype = _DTYPE_CODES.get(code)
-    if dtype is None:
-        raise DataError(f"{path}: unknown dtype code {code}")
-    shape = _unpack("<4Q", blob, 9, path)
-    start = 9 + 32
-    # Python integers: a uint64 shape's product wraps in numpy's int64
-    expect = math.prod(shape) * dtype.itemsize
-    if len(blob) - start != expect:
-        raise DataError(f"{path}: payload is {len(blob) - start} bytes, expected {expect}")
-    arr = np.frombuffer(blob, dtype=dtype, offset=start).reshape(shape)
-    return arr.astype(dtype.newbyteorder("="), copy=True)
 
 
 def write_checkpoint(path, entries: dict[str, np.ndarray], iteration: int = 0,

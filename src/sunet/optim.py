@@ -47,8 +47,8 @@ class SGD:
     """g~ = g + wd*w;  v <- mu*v + g~;  w <- w - lr*(g~ + mu*v) (Nesterov)
     or w <- w - lr*v (plain). Parameters without a gradient are skipped.
 
-    Weight decay applies only to names in decay_names (conv/linear
-    weights); BN parameters and biases stay undecayed.
+    Weight decay applies only to names in decay_names (conv weights);
+    BN parameters and biases stay undecayed.
     """
 
     def __init__(self, params: dict[str, Tensor], cfg: OptimizerConfig,

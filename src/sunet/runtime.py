@@ -11,7 +11,7 @@ from .tensor import Tensor
 def param_shapes(graph: NetworkGraph) -> dict[str, tuple[int, int, int, int]]:
     """Learnable parameter shapes keyed by '<node>.<name>'.
 
-    A conv, tconv or linear node holds a weight '.w' and, with bias set,
+    A conv or tconv node holds a weight '.w' and, with bias set,
     a '.b'; a tconv weight is (cin, cout, kh, kw), so it shares the conv
     layout with the two channel axes swapped. A bn node holds '.gamma'
     and '.beta'.
@@ -19,9 +19,9 @@ def param_shapes(graph: NetworkGraph) -> dict[str, tuple[int, int, int, int]]:
     shapes: dict[str, tuple[int, int, int, int]] = {}
     for node in graph.nodes:
         a = node.attrs
-        if node.kind in ("conv", "tconv", "linear"):
+        if node.kind in ("conv", "tconv"):
             io = (a["cin"], a["cout"]) if node.kind == "tconv" else (a["cout"], a["cin"])
-            shapes[f"{node.name}.w"] = io + tuple(a.get("k", (1, 1)))
+            shapes[f"{node.name}.w"] = io + tuple(a["k"])
             if a.get("bias"):
                 shapes[f"{node.name}.b"] = (1, a["cout"], 1, 1)
         elif node.kind == "bn":
@@ -51,7 +51,7 @@ class Network:
         self._fusable_bns = frozenset(self._fusable.values())
         # node -> the inputs it is the last reader of; the graph input is
         # the caller's and never released; nor is the bn of a fusable pair:
-        # fused, its value is its relu's, and apart it is collected or upto
+        # fused, its value is its relu's, and apart it is collected
         self._last_reads: dict[str, list[str]] = {}
         for src, r in readers.items():
             if graph.by_name[src].kind != "input" and src not in self._fusable_bns:
@@ -110,26 +110,26 @@ class Network:
 
     # ----------------------------------------------------------- forward
 
-    def forward(self, x, training: bool = False, upto: str | None = None,
+    def forward(self, x, training: bool = False,
                 collect: list[str] | None = None):
         """Run the graph; returns the output tensor.
 
         With collect, returns (output, {name: Tensor}) for the named nodes.
-        upto stops after the named node and returns its value. A name
-        that is not in the graph raises GraphError before any op runs.
+        A name that is not in the graph raises GraphError before any op
+        runs.
 
         A bn node whose only reader is a relu node runs with it as one
         fused T.batchnorm(relu=True), and the relu node takes that value.
-        The pair runs as two ops only when collect or upto names the bn
-        node, so that its pre-ReLU output can be returned.
+        The pair runs as two ops only when collect names the bn node, so
+        that its pre-ReLU output can be returned.
 
         Each node's value is released (Tensor.release) right after its
         last reader has run. Under no_grad that frees its array; on a tape
         the tensor keeps taking its gradient, and only the arrays backward
-        closures captured stay alive. The output, the upto node, collected
-        nodes and the caller's input keep their values.
+        closures captured stay alive. The output, collected nodes and the
+        caller's input keep their values.
         """
-        for name in ([] if upto is None else [upto]) + list(collect or ()):
+        for name in collect or ():
             if name not in self.graph.by_name:
                 raise GraphError(f"node {name!r} not in graph")
         if not isinstance(x, Tensor):
@@ -140,9 +140,7 @@ class Network:
         in_hw = x.data.shape[2:]
         values: dict[str, Tensor] = {}
         wanted = set(collect or ())
-        fused = self._fusable_bns
-        if upto in fused or not fused.isdisjoint(wanted):
-            fused = fused - wanted - {upto}
+        fused = self._fusable_bns - wanted
         grabbed: dict[str, Tensor] = {}
         out = None
         for node in self.graph.nodes:
@@ -162,8 +160,6 @@ class Network:
             if node.name in wanted:
                 grabbed[node.name] = val
             out = val
-            if node.name == upto:
-                break
             for src in self._last_reads.get(node.name, ()):
                 if src not in wanted:
                     values.pop(src).release()
@@ -200,9 +196,6 @@ class Network:
                                 dilation=a["d"], padding=a["pad"])
         if kind == "gap":
             return T.global_avg_pool(src[0])
-        if kind == "linear":
-            return T.linear(src[0], self.params[f"{node.name}.w"],
-                            self.params.get(f"{node.name}.b"))
         if kind == "add":
             return T.add(src[0], src[1])
         if kind == "concat":

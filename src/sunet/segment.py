@@ -4,9 +4,10 @@ Conversion rebuilds the classifier's backbone with the same builder
 (``arch.build_backbone``) at the block rates of the target output
 stride: the pooled strides that stride does not allow are dropped and
 everything downstream is dilated, so receptive fields are untouched.
-Only the head is new: the pooled classifier head becomes a 1x1 conv
-(optionally behind two degridding convs), and logits are bilinearly
-upsampled back to input size.
+Only the head is new: the classifier's pooled head, whose
+fully-connected layer is already a 1x1 conv, gives way to a 1x1 scoring
+conv on the unpooled features (optionally behind two degridding convs),
+and logits are bilinearly upsampled back to input size.
 """
 from __future__ import annotations
 
@@ -175,8 +176,8 @@ def atrous_equivalence_check(ref_net, dil_net, x, margin: int | None = None) -> 
     if feat_ref is None or feat_dil is None:
         raise GraphError("both graphs need feature markers")
     with no_grad():
-        a = ref_net.forward(x, training=False, upto=feat_ref).data
-        b = dil_net.forward(x, training=False, upto=feat_dil).data
+        a = ref_net.forward(x, training=False, collect=[feat_ref])[1][feat_ref].data
+        b = dil_net.forward(x, training=False, collect=[feat_dil])[1][feat_dil].data
     b = b[:, :, ::factor, ::factor]
     if a.shape[:2] != b.shape[:2]:
         raise GraphError(f"feature shapes diverge: {a.shape} vs {b.shape}")

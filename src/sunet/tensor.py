@@ -8,12 +8,13 @@ regardless of the tensor dtype, over views or small buffers rather than
 float64 copies of whole activations; matrix contractions run in the
 tensor dtype through BLAS.
 
-conv2d runs a conv, conv2d_transpose the adjoint of the conv with its
-weight, and linear the pointwise conv (1x1, stride 1, no padding),
-whose input is already its column matrix. Other convs gather patches
-with _im2col and scatter them back with _col2im, both clipping each
-kernel tap to the unpadded input, so no padded copy is built; the
-per-tap slices (the tap plan) are cached per shape. A conv's adjoint is
+conv2d runs a conv and conv2d_transpose the adjoint of the conv with
+its weight. A pointwise conv (1x1, stride 1, no padding), such as a
+fully-connected layer on a 1x1 map, reads its input as its column
+matrix. Other convs gather patches with _im2col and scatter them back
+with _col2im, both clipping each kernel tap to the unpadded input, so
+no padded copy is built; the per-tap slices (the tap plan) are cached
+per shape. A conv's adjoint is
 one matmul on the pointwise path, one gather with the flipped kernel at
 stride 1, and a matmul and a _col2im scatter when strided. So conv2d's
 input gradient and conv2d_transpose's forward scatter only when
@@ -25,7 +26,7 @@ runs, and never reads a parent's values later:
 - conv2d keeps x's array when the weight needs a gradient, and pairs it
   in backward with the gathered output gradient (stride 1) or with its
   rebuilt column matrix (the pointwise path keeps a view of x, which is
-  its matrix); linear is conv2d and keeps the same;
+  its matrix);
 - conv2d_transpose keeps x's array when the weight needs a gradient,
   and pairs it with the column matrix of the output gradient;
 - batchnorm keeps its centred copy in training mode, x in eval mode,
@@ -632,16 +633,6 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return _result(out, (x,), backward)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Fully connected layer on (n, c, 1, 1) tensors; weight is (k, c, 1, 1).
-
-    It is the pointwise conv: conv2d of the 1x1 input with the 1x1 weight.
-    """
-    if x.data.shape[2:] != (1, 1):
-        raise EngineError(f"linear expects (n, c, 1, 1) input, got {x.data.shape}")
-    return conv2d(x, weight, bias)
-
-
 @functools.lru_cache(maxsize=256)
 def _resize_taps(src: int, dst: int) -> tuple[np.ndarray, ...]:
     """Half-pixel bilinear taps of a src -> dst resize along one axis.
@@ -676,14 +667,6 @@ def bilinear_upsample(x: Tensor, size) -> Tensor:
     """Resize spatially to (h, w) with half-pixel-aligned bilinear weights."""
     th, tw = _pair(size)
     n, c, h, w = x.data.shape
-    if (th, tw) == (h, w):
-        out = x.data.copy()
-
-        def backward_id(grad):
-            if x.requires_grad:
-                x._accumulate(grad, owned=True)
-
-        return _result(out, (x,), backward_id)
     dt = x.data.dtype
     rh = _resize_matrix(h, th).astype(dt)
     rw = _resize_matrix(w, tw).astype(dt)

@@ -7,7 +7,6 @@ so worker parallelism or restarts cannot reorder randomness.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 from dataclasses import dataclass
@@ -107,18 +106,14 @@ def train(net: Network, dataset, cfg: TrainConfig, out_dir=None) -> dict:
 
     dataset provides images (uint8 (3, h, w)), masks (uint8 (h, w)), a
     length and ignore_index: the label the loss skips, and the one
-    augmentation fills uncovered positions with (it overrides the
-    config's). With out_dir set, writes loss.csv, periodic
-    ckpt_NNNNNN.sunc when checkpoint_every > 0, and a final
-    checkpoint.sunc (which for a 0-iteration run is just the
+    augmentation fills uncovered positions with. With out_dir set,
+    writes loss.csv, periodic ckpt_NNNNNN.sunc when checkpoint_every > 0,
+    and a final checkpoint.sunc (which for a 0-iteration run is just the
     initialization).
     """
     if len(dataset) == 0:
         raise TrainError("empty dataset")
     ignore = dataset.ignore_index
-    augment = cfg.augment
-    if augment is not None:
-        augment = dataclasses.replace(augment, ignore_index=ignore)
     opt = SGD(net.params, cfg.optimizer, decay_names=net.decay_param_names())
     rows = []
     if out_dir is not None:
@@ -136,9 +131,9 @@ def train(net: Network, dataset, cfg: TrainConfig, out_dir=None) -> dict:
             for j in _next_batch(order_rng, pending, n, bsz):
                 img = normalize_image(dataset.images[j])
                 mask = dataset.masks[j]
-                if augment is not None:
-                    img, mask = augment_sample(img, mask, augment,
-                                               sample_rng(cfg.seed, draw))
+                if cfg.augment is not None:
+                    img, mask = augment_sample(img, mask, cfg.augment,
+                                               sample_rng(cfg.seed, draw), ignore)
                     draw += 1
                 imgs.append(img)
                 masks.append(mask)

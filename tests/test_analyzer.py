@@ -8,6 +8,7 @@ from sunet.analyzer import (analyze, count_layers, count_params,
                             receptive_field, report_csv, spatial_trace)
 from sunet.arch import build_classifier, toy_config
 from sunet.graph import GraphError, NetworkGraph
+from sunet.io import read_checkpoint
 from sunet.runtime import Network
 from sunet.tensor import Tensor
 from sunet.unet import module_graph
@@ -84,7 +85,7 @@ def test_param_count_chain():
 
 def test_layer_count_ignores_skip_projections():
     g = build_classifier(toy_config(8), input_hw=(64, 64))
-    with_skips = sum(1 for n in g.nodes if n.kind in ("conv", "tconv", "linear"))
+    with_skips = sum(1 for n in g.nodes if n.kind in ("conv", "tconv"))
     assert count_layers(g) < with_skips
 
 
@@ -136,6 +137,23 @@ def test_dump_activations_writes_levels(tmp_path):
     # levels are ordered
     lv = [r["level"] for r in records]
     assert lv == sorted(lv)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dump_activations_container_holds_collected_values(tmp_path, dtype):
+    g = build_classifier(toy_config(8, num_classes=5), input_hw=(32, 32))
+    net = Network(g, dtype=dtype, seed=1)
+    x = np.random.default_rng(0).normal(size=(1, 3, 32, 32)).astype(dtype)
+    records = dump_activations(net, x, str(tmp_path))
+    # one entry per level, bound to the graph, in the network's dtype
+    entries, _, digest = read_checkpoint(tmp_path / "activations.sunc")
+    assert digest == g.digest
+    assert sorted(entries) == sorted(f"act/{r['node']}" for r in records)
+    _, grabbed = net.forward(x, collect=[r["node"] for r in records])
+    for rec in records:
+        got, want = entries[rec["tensor"]], grabbed[rec["node"]].data
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_dump_activations_picks_strongest_channel(tmp_path):

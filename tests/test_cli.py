@@ -126,6 +126,19 @@ def test_gen_data_deterministic(tmp_path, capsys):
     assert snapshot(a) != snapshot(str(tmp_path / "c"))
 
 
+# bad values are validation errors (exit 1), not I/O errors (exit 2)
+@pytest.mark.parametrize("flags,message", [
+    (["--classes", "1"], "need at least 2 classes"),
+    (["--void-border", "-1"], "negative void border"),
+    (["--count", "-1"], "negative count"),
+], ids=["classes", "void-border", "count"])
+def test_gen_data_bad_value_exits_1(tmp_path, capsys, flags, message):
+    rc, _, err = run(capsys, "gen-data", "--out", str(tmp_path / "d"),
+                     "--count", "2", *flags)
+    assert rc == 1
+    assert message in err
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """gen-data -> build -> convert -> train, shared by the e2e tests."""
@@ -191,6 +204,19 @@ def test_eval_multi_scale_flip(pipeline, capsys):
     assert "mIoU:" in out
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--max-rotate", "inf"], "bad max_rotate inf"),
+    (["--scale-range", "0.5,inf"], "bad scale range"),
+], ids=["max-rotate", "scale-range"])
+def test_train_bad_augment_value_exits_1(pipeline, tmp_path, capsys, flags,
+                                         message):
+    rc, _, err = run(capsys, "train", "--graph", pipeline["seg"],
+                     "--data", pipeline["manifest"], "--out", str(tmp_path / "run"),
+                     "--iters", "1", *flags)
+    assert rc == 1
+    assert message in err
+
+
 @pytest.mark.parametrize("cmd", ["eval", "infer"])
 def test_non_finite_scale_exits_1(pipeline, tmp_path, capsys, cmd):
     extra = ["--out", str(tmp_path / "pred")] if cmd == "infer" else []
@@ -223,7 +249,7 @@ def test_dump_activations_levels(pipeline, tmp_path, capsys):
     assert rc == 0
     files = os.listdir(out_dir)
     assert any(f.startswith("level") and f.endswith(".pgm") for f in files)
-    assert "prediction.pgm" in files
+    assert "prediction.pgm" in files and "activations.sunc" in files
 
 
 def test_dump_activations_bad_index(pipeline, capsys):

@@ -152,13 +152,18 @@ def test_dataset_loads_images_chw(tmp_path):
     assert ds.classes == 4
 
 
+def assert_spec_rejected(**bad):
+    """The error a bad spec raises: a ValueError, not a DataError, which
+    is kept for bad file content."""
+    with pytest.raises(ValueError) as err:
+        SyntheticSpec(**bad)
+    assert not isinstance(err.value, DataError)
+
+
 def test_spec_validation():
-    with pytest.raises(DataError):
-        SyntheticSpec(classes=1)
-    with pytest.raises(DataError):
-        SyntheticSpec(canvas_hw=(8, 8))
-    with pytest.raises(DataError):
-        SyntheticSpec(shapes_per_image=(3, 1))
+    assert_spec_rejected(classes=1)
+    assert_spec_rejected(canvas_hw=(8, 8))
+    assert_spec_rejected(shapes_per_image=(3, 1))
 
 
 def test_normalize_image_range():
@@ -196,5 +201,4 @@ def test_void_border_zero_keeps_masks_dense(tmp_path):
 
 
 def test_void_border_validation():
-    with pytest.raises(DataError):
-        SyntheticSpec(void_border=-1)
+    assert_spec_rejected(void_border=-1)

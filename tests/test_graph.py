@@ -136,8 +136,6 @@ def test_forward_rejects_unknown_names_before_any_op_runs(monkeypatch):
     monkeypatch.setattr(net, "_apply", no_ops)
     with pytest.raises(GraphError, match="'m.nope'"):
         net.forward(x, collect=["c1", "m.nope"])
-    with pytest.raises(GraphError, match="'m.nope'"):
-        net.forward(x, upto="m.nope")
 
 
 def test_forward_releases_values_after_their_last_reader():
@@ -147,7 +145,7 @@ def test_forward_releases_values_after_their_last_reader():
     want = {}
     with no_grad():
         for name in ("b1", "r1", "r2"):
-            want[name] = net.forward(x, upto=name).data
+            want[name] = net.forward(x, collect=[name])[1][name].data
     out, grabbed = net.forward(x, training=False, collect=["b1"])
     interior = tape_of(out)
     kept = [t for t in interior if t is out or t is grabbed["b1"]]
@@ -158,7 +156,7 @@ def test_forward_releases_values_after_their_last_reader():
                 t.data
     assert np.array_equal(out.data, want["r2"])
     assert np.array_equal(grabbed["b1"].data, want["b1"])
-    assert np.array_equal(net.forward(x, upto="r1").data, want["r1"])
+    assert np.array_equal(net.forward(x, collect=["r1"])[1]["r1"].data, want["r1"])
     assert np.array_equal(x.data, xv)
     # the released tensors still carry their gradients
     out.backward(np.ones_like(out.data))
@@ -268,23 +266,22 @@ def test_forward_fuses_bn_relu_pairs(monkeypatch):
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("how", ["collect", "upto"])
-def test_naming_the_bn_returns_its_pre_relu_output(how, monkeypatch):
+@pytest.mark.parametrize("names", [["b1"], ["b1", "r1"]],
+                         ids=["collect", "collect-with-relu"])
+def test_naming_the_bn_returns_its_pre_relu_output(names, monkeypatch):
     net = chain_net()
     x = np.random.default_rng(2).normal(size=(2, 3, 16, 16)).astype(np.float32)
     with no_grad():
-        fused_r1 = net.forward(x, upto="r1").data
-        fused_out = net.forward(x).data
+        fused_out, fused = net.forward(x, collect=["r1"])
     calls = spy_batchnorm(monkeypatch)
-    if how == "collect":
-        out, grabbed = net.forward(x, collect=["b1"])
-        b1 = grabbed["b1"].data
-        assert out.data.tobytes() == fused_out.tobytes()
-    else:
-        b1 = net.forward(x, upto="b1").data
+    out, grabbed = net.forward(x, collect=names)
+    b1 = grabbed["b1"].data
     assert [c[0] for c in calls] == [False]
     assert (b1 < 0).any()
-    assert np.maximum(b1, 0).tobytes() == fused_r1.tobytes()
+    assert np.maximum(b1, 0).tobytes() == fused["r1"].data.tobytes()
+    assert out.data.tobytes() == fused_out.data.tobytes()
+    if "r1" in grabbed:
+        assert grabbed["r1"].data.tobytes() == fused["r1"].data.tobytes()
 
 
 class _Images:

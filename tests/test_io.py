@@ -7,31 +7,6 @@ from sunet import io as sio
 from sunet.io import DataError
 
 
-def test_tensor_container_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    arr = rng.normal(size=(2, 3, 4, 5)).astype(np.float32)
-    p = tmp_path / "a.sutn"
-    sio.write_tensor(p, arr)
-    back = sio.read_tensor(p)
-    assert back.dtype == arr.dtype
-    assert np.array_equal(back, arr)
-
-
-def test_tensor_container_write_is_deterministic(tmp_path):
-    arr = np.arange(24, dtype=np.float64).reshape(1, 2, 3, 4)
-    p1, p2 = tmp_path / "x1.sutn", tmp_path / "x2.sutn"
-    sio.write_tensor(p1, arr)
-    sio.write_tensor(p2, arr)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_tensor_container_rejects_garbage(tmp_path):
-    p = tmp_path / "bad.sutn"
-    p.write_bytes(b"not a tensor at all")
-    with pytest.raises(DataError):
-        sio.read_tensor(p)
-
-
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
     entries = {
@@ -127,25 +102,9 @@ def test_checkpoint_non_utf8_header_is_data_error(tmp_path, field, at):
         sio.read_checkpoint(p)
 
 
-def test_tensor_truncated_header_is_data_error(tmp_path):
-    p = tmp_path / "t.sutn"
-    sio.write_tensor(p, np.zeros((1, 1, 2, 2), dtype=np.float32))
-    p.write_bytes(p.read_bytes()[:20])
-    with pytest.raises(DataError, match="t.sutn"):
-        sio.read_tensor(p)
-
-
 # (2**32, 2**32, 1, 1) elements: the product wraps to 0 in int64, so a
 # header that claims them with an empty payload must still be refused
 HUGE = (2 ** 32, 2 ** 32, 1, 1)
-
-
-def test_tensor_header_shape_overflow_is_data_error(tmp_path):
-    p = tmp_path / "t.sutn"
-    p.write_bytes(sio.TENSOR_MAGIC + struct.pack("<IB", sio.FORMAT_VERSION, 0)
-                  + struct.pack("<4Q", *HUGE))
-    with pytest.raises(DataError, match="t.sutn: payload is 0 bytes"):
-        sio.read_tensor(p)
 
 
 def test_checkpoint_header_shape_overflow_is_data_error(tmp_path):

@@ -183,7 +183,7 @@ def test_converted_forward_shapes_differ_only_spatially():
 # these pins breaks every checkpoint of that architecture: update them
 # only on purpose and say which checkpoints stop loading.
 PINNED_DIGESTS = {
-    "classifier": "13e349fb943ccb317fdf1560c494546522e8b1a53f76f7e318a3d5b04ee3cfc9",
+    "classifier": "c4461fe0f9bd01d5fa627f462f33384fcf5e52f8be939fae48f0ac0def2b385f",
     "os16-multigrid": "df074d642d824888608af98ab4a4d5052d45da787294cc9744676fcaf6fc65cc",
     "os8-multigrid-degridding": "f02c5e17f535b82f748c32dd9a60e1cd7c30addc410d4a9d6a49527587861903",
     "os8-strided": "d636f102992b09b20d92a9d7a37eecf780d573face087eb9391a930870386478",

@@ -229,7 +229,7 @@ def test_released_tensor_raises_on_read_but_carries_its_gradient():
                                   np.ones((1, 2, 1, 1)), training=True))
         hidden.append(T.conv2d_transpose(hidden[-1], t64(wv), stride=2, padding=1))
         hidden.append(T.global_avg_pool(hidden[-1]))
-        out = T.linear(hidden[-1], t64(lv))
+        out = T.conv2d(hidden[-1], t64(lv))
         if release:
             for t in hidden:
                 t.release()
@@ -254,7 +254,7 @@ def test_gradients_never_share_memory():
               T.concat_channels([c, d]))
     pooled = T.add(T.global_avg_pool(v),
                    T.add(T.global_avg_pool(f), T.global_avg_pool(f)))
-    out = T.linear(pooled, w, bias)
+    out = T.conv2d(pooled, w, bias)
     out.backward(np.ones_like(out.data))
 
     def buffer(arr):
@@ -671,26 +671,3 @@ def test_tconv_forward_gathers_at_stride1_and_scatters_when_strided(monkeypatch,
     del calls[:]
     out.backward(rng.normal(size=out.data.shape))
     assert calls == [("_im2col", out.data.shape)]
-
-
-def test_linear_rejects_spatial_input():
-    x = Tensor(np.zeros((2, 3, 2, 2), dtype=np.float32))
-    w = Tensor(np.zeros((4, 3, 1, 1), dtype=np.float32))
-    with pytest.raises(EngineError, match="linear expects"):
-        T.linear(x, w)
-
-
-def test_linear_is_the_pointwise_conv_bit_for_bit():
-    rng = np.random.default_rng(500)
-    arrays = [rng.normal(size=shape).astype(np.float32)
-              for shape in ((5, 6, 1, 1), (3, 6, 1, 1), (1, 3, 1, 1))]
-    seed = rng.normal(size=(5, 3, 1, 1)).astype(np.float32)
-
-    def run(op):
-        x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
-        out = op(x, w, b)
-        out.backward(seed)
-        return out.data, x.grad, w.grad, b.grad
-
-    for got, want in zip(run(T.linear), run(T.conv2d)):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
