@@ -140,7 +140,9 @@ class Network:
         in_hw = x.data.shape[2:]
         values: dict[str, Tensor] = {}
         wanted = set(collect or ())
-        fused = self._fusable_bns - wanted
+        fused = self._fusable_bns
+        if not fused.isdisjoint(wanted):
+            fused = fused - wanted
         grabbed: dict[str, Tensor] = {}
         out = None
         for node in self.graph.nodes:
