@@ -4,9 +4,9 @@ A network is a 7x7 stem conv, one strided residual pair, four stacks of
 u-net modules separated by 2x2 average-pool transitions, and a BN-ReLU.
 ``build_backbone`` emits that body at any per-block dilation rate; the
 classifier runs it at rate 1 and adds a global-average-pool head whose
-fully-connected layer is a 1x1 conv, and ``segment.to_segmentation`` runs the same
-body at the rates of its output stride. Presets mirror the published
-SUNet-64 / SUNet-128 / SUNet-7-128 configurations.
+fully-connected layer is a 1x1 conv, and ``segment.to_segmentation``
+runs the same body at the rates of its output stride. Presets mirror the
+published SUNet-64 / SUNet-128 / SUNet-7-128 configurations.
 """
 from __future__ import annotations
 

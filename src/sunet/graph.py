@@ -4,8 +4,8 @@ A NetworkGraph is an ordered DAG of primitive nodes (conv, tconv, bn,
 relu, pools, add, concat, upsample, grid_mask); a fully-connected layer
 is a 1x1 conv on a 1x1 map. Builders append nodes in topological order;
 the executor, the analyzer and the converter all walk the same
-structure. Graphs serialize to a line-based text format
-closed by a sha256 content digest.
+structure. Graphs serialize to a line-based text format closed by a
+sha256 content digest.
 
 Serialized tag keys (stage, level, role) are reserved and never used as
 attribute names.

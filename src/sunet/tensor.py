@@ -8,18 +8,17 @@ regardless of the tensor dtype, over views or small buffers rather than
 float64 copies of whole activations; matrix contractions run in the
 tensor dtype through BLAS.
 
-conv2d runs a conv and conv2d_transpose the adjoint of the conv with
-its weight. A pointwise conv (1x1, stride 1, no padding), such as a
+conv2d runs a conv and conv2d_transpose the adjoint of the conv with its
+weight. A pointwise conv (1x1, stride 1, no padding), such as a
 fully-connected layer on a 1x1 map, reads its input as its column
 matrix. Other convs gather patches with _im2col and scatter them back
 with _col2im, both clipping each kernel tap to the unpadded input, so
 no padded copy is built; the per-tap slices (the tap plan) are cached
-per shape. A conv's adjoint is
-one matmul on the pointwise path, one gather with the flipped kernel at
-stride 1, and a matmul and a _col2im scatter when strided. So conv2d's
-input gradient and conv2d_transpose's forward scatter only when
-strided, and at stride 1 conv2d's gathered matrix gives its weight
-gradient too.
+per shape. A conv's adjoint is one matmul on the pointwise path, one gather
+with the flipped kernel at stride 1, and a matmul and a _col2im scatter
+when strided. So conv2d's input gradient and conv2d_transpose's forward
+scatter only when strided, and at stride 1 conv2d's gathered matrix
+gives its weight gradient too.
 
 A backward closure keeps only the arrays it reads, captured when the op
 runs, and never reads a parent's values later:
