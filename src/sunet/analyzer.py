@@ -7,7 +7,6 @@ the one routine that touches real weights.
 """
 from __future__ import annotations
 
-import json
 import os
 from fractions import Fraction
 from typing import NamedTuple
@@ -17,7 +16,7 @@ import numpy as np
 from .graph import GraphError, NetworkGraph
 from .io import write_checkpoint, write_pgm
 from .runtime import param_shapes
-from .tensor import Tensor, no_grad
+from .tensor import no_grad
 
 
 class RFState(NamedTuple):
@@ -107,7 +106,7 @@ def _fields(graph: NetworkGraph, shapes) -> dict[str, tuple[RFState, RFState]]:
                         h.offset + Fraction(sh - 1, 2) * h.jump)
             w = RFState(w.rf + (sw - 1) * w.jump, w.jump * sw,
                         w.offset + Fraction(sw - 1, 2) * w.jump)
-        elif kind in ("bn", "relu", "grid_mask"):
+        elif kind in ("bn_relu", "grid_mask"):
             pass
         elif kind in ("add", "concat"):
             for h2, w2 in srcs[1:]:

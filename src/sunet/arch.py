@@ -1,7 +1,8 @@
 """SUNet backbones: block configurations, presets and graph assembly.
 
 A network is a 7x7 stem conv, one strided residual pair, four stacks of
-u-net modules separated by 2x2 average-pool transitions, and a BN-ReLU.
+u-net modules separated by 2x2 average-pool transitions, and a BN-ReLU
+(one ``bn_relu`` node, ``head.bn``).
 ``build_backbone`` emits that body at any per-block dilation rate; the
 classifier runs it at rate 1 and adds a global-average-pool head whose
 fully-connected layer is a 1x1 conv, and ``segment.to_segmentation``
@@ -96,14 +97,14 @@ def toy_config(n: int, *, modules: tuple[int, int, int, int] = (1, 1, 1, 1),
 
 def build_backbone(g: NetworkGraph, cfg: SUNetConfig,
                    rates: tuple[int, int, int, int], multigrid: bool) -> int:
-    """Emit the stem, residual pair, four module blocks and head BN-ReLU.
+    """Emit the stem, residual pair, four module blocks and head bn_relu.
 
     Block i runs at dilation ``rates[i]``, in the multigrid module layout
     when ``multigrid`` is set and its rate is above 1. Where the rate
     doubles, the transition keeps its 2x2 window but drops the stride and
     is dilated by the incoming rate, with tail padding to keep the extent.
     Node names never depend on the rates, so every output stride shares
-    parameters with the classifier by name. Returns head.relu's channels.
+    parameters with the classifier by name. Returns head.bn's channels.
     """
     if len(cfg.blocks) != 4:
         raise GraphError(f"config {cfg.name!r}: expected 4 blocks, got {len(cfg.blocks)}")
@@ -133,8 +134,7 @@ def build_backbone(g: NetworkGraph, cfg: SUNetConfig,
             cin = blk.out_channels
         g.tag(cur, stage=f"block{bi}", level=2 + bi)
 
-    g.add("head.bn", "bn", [cur], c=cin, decay=BN_DECAY, eps=BN_EPS)
-    g.add("head.relu", "relu", ["head.bn"])
+    g.add("head.bn", "bn_relu", [cur], c=cin, decay=BN_DECAY, eps=BN_EPS)
     return cin
 
 
@@ -147,9 +147,9 @@ def build_classifier(cfg: SUNetConfig, input_hw: tuple[int, int] = (224, 224),
     g = NetworkGraph(in_channels, (h, w))
     g.meta["kind"] = "classifier"
     g.meta["config"] = config_to_meta(cfg.to_dict())
-    g.meta["features"] = "head.relu"
+    g.meta["features"] = "head.bn"
     cin = build_backbone(g, cfg, (1, 1, 1, 1), multigrid=False)
-    g.add("head.gap", "gap", ["head.relu"], stage="pool")
+    g.add("head.gap", "gap", ["head.bn"], stage="pool")
     g.add("head.fc", "conv", ["head.gap"], cin=cin, cout=cfg.num_classes,
           k=(1, 1), s=(1, 1), d=(1, 1), p=(0, 0), bias=True)
     g.infer_shapes()  # reject a declared input size the graph cannot run at

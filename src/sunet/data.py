@@ -9,8 +9,9 @@ byte-deterministic under its seed.
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +47,8 @@ class SyntheticSpec:
             raise ValueError(f"canvas {self.canvas_hw} too small")
         if self.void_border < 0:
             raise ValueError(f"negative void border {self.void_border}")
+        if not 0 <= self.noise < math.inf:  # NaN fails this too
+            raise ValueError(f"noise {self.noise} outside [0, inf)")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Static network graphs.
 
-A NetworkGraph is an ordered DAG of primitive nodes (conv, tconv, bn,
-relu, pools, add, concat, upsample, grid_mask); a fully-connected layer
-is a 1x1 conv on a 1x1 map. Builders append nodes in topological order;
+A NetworkGraph is an ordered DAG of primitive nodes, one op each (conv,
+tconv, bn_relu, pools, add, concat, upsample, grid_mask); a
+fully-connected layer is a 1x1 conv on a 1x1 map, and a pre-activation
+BN-ReLU is one bn_relu node. Builders append nodes in topological order;
 the executor, the analyzer and the converter all walk the same
 structure. Graphs serialize to a line-based text format closed by a
 sha256 content digest.
@@ -23,11 +24,23 @@ GRAPH_HEADER = "sunet-graph 1"
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 _TAG_KEYS = ("stage", "level", "role")
 
-# A tconv node takes two inputs: the tensor it upsamples, then the node
-# whose spatial extent it restores. Its output padding is derived from
-# the two extents wherever the graph runs, so it runs at any input size.
-KINDS = ("input", "conv", "tconv", "bn", "relu", "avg_pool", "gap",
-         "add", "concat", "upsample", "grid_mask")
+# Each kind with the attributes its nodes must carry; a conv or tconv may
+# also set bias. A tconv node takes two inputs: the tensor it upsamples,
+# then the node whose spatial extent it restores. Its output padding is
+# derived from the two extents wherever the graph runs, so it runs at any
+# input size. An upsample node restores the extent of the graph input.
+KINDS = {
+    "input": ("c",),
+    "conv": ("cin", "cout", "k", "s", "d", "p"),
+    "tconv": ("cin", "cout", "k", "s", "d", "p"),
+    "bn_relu": ("c", "decay", "eps"),
+    "avg_pool": ("window", "s", "d", "pad"),
+    "gap": (),
+    "add": (),
+    "concat": (),
+    "upsample": (),
+    "grid_mask": ("period", "keep"),
+}
 
 
 class GraphError(ValueError):
@@ -69,6 +82,9 @@ class NetworkGraph:
             raise GraphError(f"node {name!r}: tconv takes (source, extent) "
                              f"inputs, got {len(inputs)}")
         tags = {k: attrs.pop(k) for k in _TAG_KEYS if k in attrs}
+        for key in KINDS[kind]:
+            if key not in attrs:
+                raise GraphError(f"node {name!r}: {kind} needs attribute {key!r}")
         node = Node(name, kind, inputs, attrs, tags)
         self.nodes.append(node)
         self.by_name[name] = node
@@ -149,27 +165,39 @@ class NetworkGraph:
             raise GraphError("content digest mismatch, file was altered or truncated")
         if not lines[1].startswith("input "):
             raise GraphError("missing input line")
-        head = dict(tok.split("=", 1) for tok in lines[1].split()[1:])
+        head = _key_values(lines[1].split()[1:], 2)
+        for key in ("c", "h", "w"):
+            if key not in head:
+                raise GraphError(f"line 2: input line needs {key!r}")
         graph = cls(int(head["c"]), (int(head["h"]), int(head["w"])))
-        for line in lines[2:-1]:
+        for lineno, line in enumerate(lines[2:-1], start=3):
             if line.startswith("meta "):
-                _, key, value = line.split(" ", 2)
-                graph.meta[key] = value
+                parts = line.split(" ", 2)
+                if len(parts) != 3:
+                    raise GraphError(f"line {lineno}: meta line needs a key and a value")
+                graph.meta[parts[1]] = parts[2]
                 continue
             if not line.startswith("node "):
-                raise GraphError(f"unrecognized line: {line!r}")
+                raise GraphError(f"line {lineno}: unrecognized line {line!r}")
             tokens = line.split()
-            name, kind = tokens[1], tokens[2]
-            attrs = {}
-            inputs: tuple[str, ...] = ()
-            for tok in tokens[3:]:
-                key, _, raw = tok.partition("=")
-                if key == "in":
-                    inputs = tuple(s for s in raw.split(",") if s)
-                else:
-                    attrs[key] = _parse_value(raw)
-            graph.add(name, kind, inputs, **attrs)
+            if len(tokens) < 3:
+                raise GraphError(f"line {lineno}: node line needs a name and a kind")
+            attrs = _key_values(tokens[3:], lineno)
+            inputs = tuple(s for s in attrs.pop("in", "").split(",") if s)
+            graph.add(tokens[1], tokens[2], inputs,
+                      **{k: _parse_value(v) for k, v in attrs.items()})
         return graph
+
+
+def _key_values(tokens, lineno: int) -> dict[str, str]:
+    """key=value tokens of one line as raw strings."""
+    fields = {}
+    for tok in tokens:
+        key, sep, raw = tok.partition("=")
+        if not sep:
+            raise GraphError(f"line {lineno}: token {tok!r} is not key=value")
+        fields[key] = raw
+    return fields
 
 
 def _render(value) -> str:
@@ -214,7 +242,7 @@ def _node_shape(node: Node, src, in_hw) -> tuple[int, int, int]:
         target = src[1][1:]
         tconv_output_padding(node.name, (h, w), target, a["k"], a["s"], a["d"], a["p"])
         return (a["cout"],) + target
-    if kind in ("bn", "relu", "grid_mask"):
+    if kind in ("bn_relu", "grid_mask"):
         return src[0]
     if kind == "avg_pool":
         c, h, w = src[0]
@@ -237,11 +265,7 @@ def _node_shape(node: Node, src, in_hw) -> tuple[int, int, int]:
                 raise GraphError(f"node {node.name!r}: concat of {src[0]} and {s}")
         return (sum(s[0] for s in src), h, w)
     if kind == "upsample":
-        c = src[0][0]
-        to = a["to"]
-        if to == "input":
-            return (c, in_hw[0], in_hw[1])
-        return (c, to[0], to[1])
+        return (src[0][0], in_hw[0], in_hw[1])
     raise GraphError(f"node {node.name!r}: no shape rule for kind {kind!r}")
 
 

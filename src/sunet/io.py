@@ -50,7 +50,9 @@ def write_checkpoint(path, entries: dict[str, np.ndarray], iteration: int = 0,
         table += struct.pack("<B4QQQ", _CODE_FOR[arr.dtype], *arr.shape, offset, nbytes)
         offset += nbytes
     # write a sibling file and rename it over the target, so a crash
-    # mid-write leaves the previous checkpoint intact
+    # mid-write leaves the previous checkpoint intact; the file is synced
+    # before the rename and the directory after it, so that a power loss
+    # cannot leave the target renamed but its bytes unwritten
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -62,11 +64,18 @@ def write_checkpoint(path, entries: dict[str, np.ndarray], iteration: int = 0,
             fh.write(table)
             for arr in arrays:
                 fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _unpack(fmt: str, blob: bytes, pos: int, path) -> tuple:

@@ -23,10 +23,13 @@ class OptimizerConfig:
     batch_size: int = 1
 
     def __post_init__(self):
+        # written so that NaN fails every comparison
+        if not 0.0 <= self.lr0 < math.inf:
+            raise TrainError(f"lr0 {self.lr0} outside [0, inf)")
         if not 0.0 <= self.momentum < 1.0:
             raise TrainError(f"momentum {self.momentum} outside [0, 1)")
-        if self.weight_decay < 0.0:
-            raise TrainError(f"negative weight decay {self.weight_decay}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise TrainError(f"weight_decay {self.weight_decay} outside [0, inf)")
         if self.batch_size < 1:
             raise TrainError(f"batch size {self.batch_size} < 1")
 
@@ -105,8 +108,8 @@ class StepSchedule:
             raise TrainError(f"max_iters {self.max_iters} < 1")
         if self.every < 1:
             raise TrainError(f"decay period {self.every} < 1")
-        if self.factor <= 0:
-            raise TrainError(f"decay factor {self.factor} must be positive")
+        if not 0 < self.factor < math.inf:
+            raise TrainError(f"factor {self.factor} outside (0, inf)")
 
     def lr_at(self, lr0: float, it: int) -> float:
         if not 0 <= it <= self.max_iters:

@@ -13,8 +13,8 @@ def param_shapes(graph: NetworkGraph) -> dict[str, tuple[int, int, int, int]]:
 
     A conv or tconv node holds a weight '.w' and, with bias set,
     a '.b'; a tconv weight is (cin, cout, kh, kw), so it shares the conv
-    layout with the two channel axes swapped. A bn node holds '.gamma'
-    and '.beta'.
+    layout with the two channel axes swapped. A bn_relu node holds
+    '.gamma' and '.beta'.
     """
     shapes: dict[str, tuple[int, int, int, int]] = {}
     for node in graph.nodes:
@@ -24,7 +24,7 @@ def param_shapes(graph: NetworkGraph) -> dict[str, tuple[int, int, int, int]]:
             shapes[f"{node.name}.w"] = io + tuple(a["k"])
             if a.get("bias"):
                 shapes[f"{node.name}.b"] = (1, a["cout"], 1, 1)
-        elif node.kind == "bn":
+        elif node.kind == "bn_relu":
             shapes[f"{node.name}.gamma"] = (1, a["c"], 1, 1)
             shapes[f"{node.name}.beta"] = (1, a["c"], 1, 1)
     return shapes
@@ -43,18 +43,11 @@ class Network:
         for node in graph.nodes:
             for src in node.inputs:
                 readers.setdefault(src, []).append(node)
-        # relu node -> the bn node it is the only reader of; forward may
-        # run the pair as one fused batchnorm
-        self._fusable = {r[0].name: src for src, r in readers.items()
-                         if graph.by_name[src].kind == "bn"
-                         and len(r) == 1 and r[0].kind == "relu"}
-        self._fusable_bns = frozenset(self._fusable.values())
         # node -> the inputs it is the last reader of; the graph input is
-        # the caller's and never released; nor is the bn of a fusable pair:
-        # fused, its value is its relu's, and apart it is collected
+        # the caller's and never released
         self._last_reads: dict[str, list[str]] = {}
         for src, r in readers.items():
-            if graph.by_name[src].kind != "input" and src not in self._fusable_bns:
+            if graph.by_name[src].kind != "input":
                 self._last_reads.setdefault(r[-1].name, []).append(src)
 
     def _init_state(self, seed: int) -> None:
@@ -118,11 +111,6 @@ class Network:
         A name that is not in the graph raises GraphError before any op
         runs.
 
-        A bn node whose only reader is a relu node runs with it as one
-        fused T.batchnorm(relu=True), and the relu node takes that value.
-        The pair runs as two ops only when collect names the bn node, so
-        that its pre-ReLU output can be returned.
-
         Each node's value is released (Tensor.release) right after its
         last reader has run. Under no_grad that frees its array; on a tape
         the tensor keeps taking its gradient, and only the arrays backward
@@ -140,22 +128,17 @@ class Network:
         in_hw = x.data.shape[2:]
         values: dict[str, Tensor] = {}
         wanted = set(collect or ())
-        fused = self._fusable_bns
-        if not fused.isdisjoint(wanted):
-            fused = fused - wanted
         grabbed: dict[str, Tensor] = {}
         out = None
         for node in self.graph.nodes:
             if node.kind == "input":
                 val = x
-            elif self._fusable.get(node.name) in fused:
-                val = values.pop(self._fusable[node.name])
             else:
                 # inputs are not checked against a declared size, so an
                 # extent that is too small first fails inside an op
                 try:
                     val = self._apply(node, [values[s] for s in node.inputs],
-                                      training, in_hw, node.name in fused)
+                                      training, in_hw)
                 except T.EngineError as exc:
                     raise T.EngineError(f"node {node.name!r}: {exc}") from None
             values[node.name] = val
@@ -169,7 +152,7 @@ class Network:
             return out, grabbed
         return out
 
-    def _apply(self, node, src, training: bool, in_hw, relu: bool = False) -> Tensor:
+    def _apply(self, node, src, training: bool, in_hw) -> Tensor:
         a = node.attrs
         kind = node.kind
         if kind == "conv":
@@ -184,15 +167,13 @@ class Network:
                                       self.params.get(f"{node.name}.b"),
                                       stride=a["s"], dilation=a["d"], padding=a["p"],
                                       output_padding=op)
-        if kind == "bn":
+        if kind == "bn_relu":
             return T.batchnorm(src[0], self.params[f"{node.name}.gamma"],
                                self.params[f"{node.name}.beta"],
                                self.stats[f"{node.name}.running_mean"],
                                self.stats[f"{node.name}.running_var"],
                                training=training, decay=a["decay"], eps=a["eps"],
-                               relu=relu)
-        if kind == "relu":
-            return T.relu(src[0])
+                               relu=True)
         if kind == "avg_pool":
             return T.avg_pool2d(src[0], window=a["window"], stride=a["s"],
                                 dilation=a["d"], padding=a["pad"])
@@ -203,8 +184,7 @@ class Network:
         if kind == "concat":
             return T.concat_channels(src)
         if kind == "upsample":
-            to = a["to"]
-            return T.bilinear_upsample(src[0], in_hw if to == "input" else to)
+            return T.bilinear_upsample(src[0], in_hw)
         if kind == "grid_mask":
             return T.phase_mask(src[0], a["period"], a["keep"])
         raise GraphError(f"node {node.name!r}: no executor for kind {kind!r}")

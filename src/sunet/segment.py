@@ -72,9 +72,9 @@ def to_segmentation(g: NetworkGraph, cfg: SegmentationConfig) -> NetworkGraph:
     out.meta["config"] = g.meta["config"]
     out.meta["seg"] = config_to_meta(cfg.to_dict())
     out.meta["output_stride"] = str(cfg.output_stride)
-    out.meta["features"] = "head.relu"
+    out.meta["features"] = "head.bn"
     cin = build_backbone(out, net_cfg, rates, cfg.multigrid)
-    cur = "head.relu"
+    cur = "head.bn"
     if cfg.degridding:
         d1 = max(rates[-1] // 2, 1)
         d2 = max(rates[-1] // 4, 1)
@@ -82,13 +82,12 @@ def to_segmentation(g: NetworkGraph, cfg: SegmentationConfig) -> NetworkGraph:
                       k=(3, 3), s=(1, 1), d=(d1, d1), p=(d1, d1), bias=False)
         cur = bn_relu_conv(out, "deg2", cur, 512, 512, d=d2)
         cin = 512
-    out.add("cls.bn", "bn", [cur], c=cin, decay=BN_DECAY, eps=BN_EPS)
-    out.add("cls.relu", "relu", ["cls.bn"])
-    cur = out.add("cls.conv", "conv", ["cls.relu"], cin=cin,
+    out.add("cls.bn", "bn_relu", [cur], c=cin, decay=BN_DECAY, eps=BN_EPS)
+    cur = out.add("cls.conv", "conv", ["cls.bn"], cin=cin,
                   cout=cfg.num_classes, k=(1, 1), s=(1, 1), d=(1, 1),
                   p=(0, 0), bias=True, stage="classifier", level=6)
     if cfg.upsample_to_input:
-        out.add("up", "upsample", [cur], to="input")
+        out.add("up", "upsample", [cur])
     return out
 
 

@@ -41,6 +41,8 @@ class TrainConfig:
             raise TrainError(f"negative checkpoint interval {self.checkpoint_every}")
         if self.schedule not in ("cosine", "step"):
             raise TrainError(f"unknown schedule {self.schedule!r}")
+        if not 0 < self.step_factor < math.inf:
+            raise TrainError(f"step_factor {self.step_factor} outside (0, inf)")
         if self.schedule == "step" and self.step_every < 1:
             raise TrainError("step schedule needs step_every >= 1")
 

@@ -18,7 +18,7 @@ and stays there, steps one level down (encoder) or one back up
 * multigrid: every stride is 1 and a conv at level l runs at dilation
   d = rate * 2**l, the spacing its grid had in the strided layout (for a
   step, l is the finer level). A phase mask of period 2d between the
-  ReLU and each up-conv zeroes the positions the coarser grid lacked, so
+  BN-ReLU and each up-conv zeroes the positions the coarser grid lacked, so
   the dilated module reproduces the strided module's values exactly on
   the surviving subgrid, whatever the BN state.
 
@@ -37,19 +37,19 @@ BN_EPS = 1e-5
 def bn_relu_conv(g: NetworkGraph, base: str, src: str, cin: int, cout: int, *,
                  k: int = 3, s: int = 1, d: int = 1, restore: str | None = None,
                  mask: tuple[str, int, int] | None = None) -> str:
-    """Emit a pre-activated block: bn -> relu -> [mask] -> (transposed) conv.
+    """Emit a pre-activated block: bn_relu -> [mask] -> (transposed) conv.
 
-    Padding is always the size-preserving d*(k-1)/2, convs carry no bias
-    (a BN follows every block boundary). ``restore`` names the node whose
-    spatial extent the block restores and makes the conv a transposed
-    one, with that node as its second input. ``mask=(name, period,
-    keep)`` puts a grid_mask node of that name between the relu and the
-    conv, so the conv sees exact zeros at the masked positions. Returns
-    the conv node name.
+    The BN-ReLU is one bn_relu node named ``<base>.bn``, which holds the
+    BN parameters and statistics. Padding is always the size-preserving
+    d*(k-1)/2, convs carry no bias (a BN follows every block boundary).
+    ``restore`` names the node whose spatial extent the block restores
+    and makes the conv a transposed one, with that node as its second
+    input. ``mask=(name, period, keep)`` puts a grid_mask node of that
+    name between the bn_relu and the conv, so the conv sees exact zeros
+    at the masked positions. Returns the conv node name.
     """
     p = d * (k - 1) // 2
-    g.add(f"{base}.bn", "bn", [src], c=cin, decay=BN_DECAY, eps=BN_EPS)
-    feed = g.add(f"{base}.relu", "relu", [f"{base}.bn"])
+    feed = g.add(f"{base}.bn", "bn_relu", [src], c=cin, decay=BN_DECAY, eps=BN_EPS)
     if mask is not None:
         name, period, keep = mask
         feed = g.add(name, "grid_mask", [feed], period=period, keep=keep)

@@ -263,7 +263,7 @@ def test_c07_rf_preserved_by_conversion():
     before = receptive_field(g)
     after = receptive_field(seg)
     shared = [n for n in before if n in after]
-    assert len(shared) > 100
+    assert set(before) - set(shared) == {"head.gap", "head.fc"}
     bad = [n for n in shared
            if (before[n][0].rf, before[n][1].rf)
            != (after[n][0].rf, after[n][1].rf)]

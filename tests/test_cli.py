@@ -1,9 +1,10 @@
 """Exit codes and end-to-end command pipeline."""
+import hashlib
 import os
 
-import numpy as np
 import pytest
 
+from sunet.arch import build_classifier, toy_config
 from sunet.cli import main
 from sunet.graph import NetworkGraph
 from sunet.io import read_pgm
@@ -59,7 +60,8 @@ def test_analyze_csv(tmp_path, capsys):
     assert rc == 0
     lines = open(path).read().strip().split("\n")
     assert lines[0] == "node,kind,out_c,out_h,out_w,params,rf_h,rf_w,jump_h,jump_w"
-    assert len(lines) > 100
+    graph = build_classifier(toy_config(8), input_hw=(64, 64))
+    assert [line.split(",")[0] for line in lines[1:]] == [n.name for n in graph.nodes]
 
 
 def test_analyze_graph_at_another_input_size(tmp_path, capsys):
@@ -82,6 +84,27 @@ def test_build_round_trip(tmp_path, capsys):
     g = NetworkGraph.parse(text)
     assert g.serialize() == text
     assert g.digest[:12] in out
+
+
+# graph files whose digest is valid but whose content is not
+CONV = "node c1 conv in=input cin=3 cout=8 d=1x1 k=3x3 p=1x1 s=1x1\n"
+
+
+@pytest.mark.parametrize("input_line,node_line,message", [
+    ("input c=3 h=16 w=16", "node c1\n", "line 3: node line needs a name and a kind"),
+    ("input c=3 h=16 w=16", CONV.replace("cin=3 ", ""), "node 'c1': conv needs attribute 'cin'"),
+    ("input c=3 h=16", CONV, "line 2: input line needs 'w'"),
+    ("input c=3 h=16 w=16", CONV.replace("in=input", "input"),
+     "line 3: token 'input' is not key=value"),
+], ids=["node-name-only", "conv-without-cin", "input-without-w", "bare-token"])
+def test_malformed_graph_file_exits_1(tmp_path, capsys, input_line, node_line,
+                                      message):
+    body = f"sunet-graph 1\n{input_line}\n{node_line}"
+    path = tmp_path / "bad.graph"
+    path.write_text(body + f"digest {hashlib.sha256(body.encode()).hexdigest()}\n")
+    rc, _, err = run(capsys, "analyze", "--graph", str(path))
+    assert rc == 1
+    assert f"error: {message}" in err
 
 
 def test_convert_degridding_layout(tmp_path, capsys):
@@ -131,12 +154,16 @@ def test_gen_data_deterministic(tmp_path, capsys):
     (["--classes", "1"], "need at least 2 classes"),
     (["--void-border", "-1"], "negative void border"),
     (["--count", "-1"], "negative count"),
-], ids=["classes", "void-border", "count"])
+    (["--noise", "nan"], "noise nan outside"),
+    (["--noise", "inf"], "noise inf outside"),
+    (["--noise", "-1"], "noise -1.0 outside"),
+], ids=["classes", "void-border", "count", "noise-nan", "noise-inf", "noise-negative"])
 def test_gen_data_bad_value_exits_1(tmp_path, capsys, flags, message):
     rc, _, err = run(capsys, "gen-data", "--out", str(tmp_path / "d"),
                      "--count", "2", *flags)
     assert rc == 1
     assert message in err
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +242,28 @@ def test_train_bad_augment_value_exits_1(pipeline, tmp_path, capsys, flags,
                      "--iters", "1", *flags)
     assert rc == 1
     assert message in err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--lr", "nan"], "lr0 nan outside"),
+    (["--lr", "inf"], "lr0 inf outside"),
+    (["--lr", "-0.1"], "lr0 -0.1 outside"),
+    (["--weight-decay", "nan"], "weight_decay nan outside"),
+    (["--weight-decay", "inf"], "weight_decay inf outside"),
+    (["--step-factor", "nan"], "step_factor nan outside"),
+    (["--schedule", "step", "--step-every", "1", "--step-factor", "inf"],
+     "step_factor inf outside"),
+], ids=["lr-nan", "lr-inf", "lr-negative", "weight-decay-nan",
+        "weight-decay-inf", "step-factor-nan", "step-factor-inf"])
+def test_train_bad_optimizer_value_exits_1(pipeline, tmp_path, capsys, flags,
+                                           message):
+    out = tmp_path / "run"
+    rc, _, err = run(capsys, "train", "--graph", pipeline["seg"],
+                     "--data", pipeline["manifest"], "--out", str(out),
+                     "--iters", "1", "--no-augment", *flags)
+    assert rc == 1
+    assert message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cmd", ["eval", "infer"])

@@ -6,7 +6,7 @@ import pytest
 
 from sunet.data import (Dataset, SyntheticSpec, generate_synthetic,
                         load_manifest, normalize_image)
-from sunet.io import DataError, read_pgm, write_pgm, write_ppm
+from sunet.io import DataError, read_pgm, write_pgm
 
 
 def test_count_zero_gives_empty_manifest(tmp_path):

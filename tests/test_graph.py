@@ -17,8 +17,7 @@ def small_graph():
     g = NetworkGraph(3, (16, 16))
     g.add("c1", "conv", ["input"], cin=3, cout=8, k=(3, 3), s=(2, 2),
           d=(1, 1), p=(1, 1), bias=False, stage="conv1", level=1)
-    g.add("b1", "bn", ["c1"], c=8, decay=0.99, eps=1e-5)
-    g.add("r1", "relu", ["b1"])
+    g.add("b1", "bn_relu", ["c1"], c=8, decay=0.99, eps=1e-5)
     g.meta["kind"] = "test"
     return g
 
@@ -49,27 +48,29 @@ def test_parse_rejects_bad_header():
 def test_duplicate_node_name_rejected():
     g = small_graph()
     with pytest.raises(GraphError):
-        g.add("c1", "relu", ["r1"])
+        g.add("c1", "gap", ["b1"])
 
 
 def test_unknown_kind_rejected():
     g = small_graph()
-    with pytest.raises(GraphError):
-        g.add("x", "pool3d", ["r1"])
+    # bn and relu are kinds of graph files older than the bn_relu node
+    for kind in ("pool3d", "bn", "relu"):
+        with pytest.raises(GraphError, match=f"unknown kind '{kind}'"):
+            g.add("x", kind, ["b1"])
 
 
 def test_input_must_exist():
     g = small_graph()
     with pytest.raises(GraphError):
-        g.add("x", "relu", ["nope"])
+        g.add("x", "gap", ["nope"])
 
 
 def test_tag_validation():
     g = small_graph()
-    g.tag("r1", level=2)
-    assert g.by_name["r1"].tags["level"] == 2
+    g.tag("b1", level=2)
+    assert g.by_name["b1"].tags["level"] == 2
     with pytest.raises(GraphError):
-        g.tag("r1", color="red")
+        g.tag("b1", color="red")
     with pytest.raises(GraphError):
         g.tag("missing", level=1)
 
@@ -87,7 +88,7 @@ def test_infer_shapes_tracks_stride():
     shapes = g.infer_shapes()
     assert shapes["input"] == (3, 16, 16)
     assert shapes["c1"] == (8, 8, 8)
-    assert shapes["r1"] == (8, 8, 8)
+    assert shapes["b1"] == (8, 8, 8)
 
 
 def test_tconv_restores_the_extent_of_its_second_input():
@@ -95,12 +96,12 @@ def test_tconv_restores_the_extent_of_its_second_input():
     up = dict(cin=8, cout=3, k=(3, 3), s=(2, 2), d=(1, 1), p=(1, 1),
               bias=False)
     with pytest.raises(GraphError, match="'up'"):
-        g.add("up", "tconv", ["r1"], **up)
-    g.add("up", "tconv", ["r1", "input"], **up)
+        g.add("up", "tconv", ["b1"], **up)
+    g.add("up", "tconv", ["b1", "input"], **up)
     for hw in [(16, 16), (15, 15), (15, 18)]:
         assert g.infer_shapes(hw)["up"] == (3, *hw)
     # a stride-2 tconv of an 8x8 map reaches 15 or 16, never 8
-    g.add("bad", "tconv", ["r1", "r1"], **up)
+    g.add("bad", "tconv", ["b1", "b1"], **up)
     with pytest.raises(GraphError, match="'bad'"):
         g.infer_shapes()
 
@@ -109,9 +110,8 @@ def test_tconv_restores_the_extent_of_its_second_input():
 
 def chain_net():
     g = small_graph()
-    g.add("c2", "conv", ["r1"], cin=8, cout=4, k=(3, 3), s=(1, 1),
+    g.add("c2", "conv", ["b1"], cin=8, cout=4, k=(3, 3), s=(1, 1),
           d=(1, 1), p=(1, 1), bias=True)
-    g.add("r2", "relu", ["c2"])
     return Network(g, seed=0)
 
 
@@ -144,19 +144,20 @@ def test_forward_releases_values_after_their_last_reader():
     x = Tensor(xv.copy())
     want = {}
     with no_grad():
-        for name in ("b1", "r1", "r2"):
+        for name in ("c1", "b1", "c2"):
             want[name] = net.forward(x, collect=[name])[1][name].data
-    out, grabbed = net.forward(x, training=False, collect=["b1"])
+    # c1's last reader is b1, so only collecting it keeps its value
+    out, grabbed = net.forward(x, training=False, collect=["c1"])
     interior = tape_of(out)
-    kept = [t for t in interior if t is out or t is grabbed["b1"]]
-    assert len(interior) == 5 and len(kept) == 2
+    kept = [t for t in interior if t is out or t is grabbed["c1"]]
+    assert len(interior) == 3 and len(kept) == 2
     for t in interior:
         if not any(t is k for k in kept):
             with pytest.raises(EngineError, match="released"):
                 t.data
-    assert np.array_equal(out.data, want["r2"])
-    assert np.array_equal(grabbed["b1"].data, want["b1"])
-    assert np.array_equal(net.forward(x, collect=["r1"])[1]["r1"].data, want["r1"])
+    assert np.array_equal(out.data, want["c2"])
+    assert np.array_equal(grabbed["c1"].data, want["c1"])
+    assert np.array_equal(net.forward(x, collect=["b1"])[1]["b1"].data, want["b1"])
     assert np.array_equal(x.data, xv)
     # the released tensors still carry their gradients
     out.backward(np.ones_like(out.data))
@@ -230,7 +231,7 @@ def test_training_step_peak_without_column_matrices():
     assert peak <= 0.6 * COLUMN_MATRIX_STEP_PEAK, peak
 
 
-# ------------------------------------------------- BN->ReLU fusion at run time
+# ----------------------------------------------------- BN-ReLU at run time
 
 def spy_batchnorm(monkeypatch):
     """Record (relu flag, x's array, a copy of it) of every T.batchnorm call."""
@@ -244,44 +245,21 @@ def spy_batchnorm(monkeypatch):
     return calls
 
 
-def test_forward_fuses_bn_relu_pairs(monkeypatch):
-    x = np.random.default_rng(1).normal(size=(2, 3, 16, 16)).astype(np.float32)
-
-    def step(collect):
-        net = chain_net()
-        out, _ = net.forward(x, training=True, collect=collect)
-        values = [out.data.copy()] + list(net.stats.values())
-        out.backward(np.ones_like(out.data))
-        return values + [net.params[k].grad for k in sorted(net.params)]
-
+def test_each_bn_relu_node_is_one_fused_batchnorm(monkeypatch):
+    g = build_classifier(toy_config(4, num_classes=3), input_hw=(32, 32))
+    net = Network(to_segmentation(g, SegmentationConfig(
+        num_classes=3, output_stride=8, degridding=True)), seed=0)
+    x = np.random.default_rng(1).normal(size=(2, 3, 32, 32)).astype(np.float32)
     relus, real_relu = [], T.relu
     monkeypatch.setattr(T, "relu", lambda t: relus.append(t) or real_relu(t))
     calls = spy_batchnorm(monkeypatch)
-    apart = step(["b1"])
-    assert [c[0] for c in calls] == [False] and len(relus) == 2
-    fused = step(["r1"])
-    # only r2, which follows a conv, still runs as a relu
-    assert [c[0] for c in calls[1:]] == [True] and len(relus) == 3
-    for want, got in zip(apart, fused):
-        assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("names", [["b1"], ["b1", "r1"]],
-                         ids=["collect", "collect-with-relu"])
-def test_naming_the_bn_returns_its_pre_relu_output(names, monkeypatch):
-    net = chain_net()
-    x = np.random.default_rng(2).normal(size=(2, 3, 16, 16)).astype(np.float32)
-    with no_grad():
-        fused_out, fused = net.forward(x, collect=["r1"])
-    calls = spy_batchnorm(monkeypatch)
-    out, grabbed = net.forward(x, collect=names)
-    b1 = grabbed["b1"].data
-    assert [c[0] for c in calls] == [False]
-    assert (b1 < 0).any()
-    assert np.maximum(b1, 0).tobytes() == fused["r1"].data.tobytes()
-    assert out.data.tobytes() == fused_out.data.tobytes()
-    if "r1" in grabbed:
-        assert grabbed["r1"].data.tobytes() == fused["r1"].data.tobytes()
+    # collecting a node never changes how it runs
+    names = [n.name for n in net.graph.nodes]
+    _, grabbed = net.forward(x, training=True, collect=names)
+    bns = [n.name for n in net.graph.nodes if n.kind == "bn_relu"]
+    assert bns and [c[0] for c in calls] == [True] * len(bns)
+    assert not relus
+    assert all((grabbed[name].data >= 0).all() for name in bns)
 
 
 class _Images:

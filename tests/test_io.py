@@ -1,3 +1,5 @@
+import os
+import stat
 import struct
 
 import numpy as np
@@ -77,6 +79,28 @@ def test_checkpoint_write_crash_keeps_previous(tmp_path, monkeypatch):
     for k in old:
         assert np.array_equal(back[k], old[k])
     assert [f.name for f in tmp_path.iterdir()] == ["checkpoint.sunc"]
+
+
+def test_checkpoint_synced_before_rename(tmp_path, monkeypatch):
+    events, real_fsync, real_replace = [], os.fsync, os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        events.append(("fsync dir",) if stat.S_ISDIR(st.st_mode)
+                      else ("fsync file", st.st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace",))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    p = tmp_path / "checkpoint.sunc"
+    sio.write_checkpoint(p, _entries(0), iteration=1, graph_digest="ef" * 32)
+    # the file is synced whole, before the rename; its directory after
+    assert events == [("fsync file", p.stat().st_size), ("replace",),
+                      ("fsync dir",)]
 
 
 @pytest.mark.parametrize("cut", [6, 17, 40, 80, 100])

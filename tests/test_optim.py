@@ -79,6 +79,17 @@ def test_optimizer_config_validation():
         OptimizerConfig(lr0=0.1, batch_size=0)
 
 
+@pytest.mark.parametrize("field,make", [
+    ("lr0", lambda v: OptimizerConfig(lr0=v)),
+    ("weight_decay", lambda v: OptimizerConfig(lr0=0.1, weight_decay=v)),
+    ("factor", lambda v: StepSchedule(10, factor=v, every=1)),
+], ids=["lr0", "weight_decay", "factor"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_non_finite_or_negative_settings_rejected(field, make, value):
+    with pytest.raises(TrainError, match=f"^{field} "):
+        make(value)
+
+
 def test_cosine_endpoints_exact():
     s = CosineSchedule(90)
     lr0 = 0.3

@@ -65,7 +65,7 @@ def test_upsample_restores_input_resolution():
     g = seg(classifier(), 16, upsample=True)
     shapes = g.infer_shapes()
     assert shapes[g.output][1:] == (129, 129)
-    assert g.by_name["up"].attrs["to"] == "input"
+    assert g.infer_shapes((97, 113))[g.output][1:] == (97, 113)
 
 
 def test_degridding_head_dilations_at_os8():
@@ -183,11 +183,11 @@ def test_converted_forward_shapes_differ_only_spatially():
 # these pins breaks every checkpoint of that architecture: update them
 # only on purpose and say which checkpoints stop loading.
 PINNED_DIGESTS = {
-    "classifier": "c4461fe0f9bd01d5fa627f462f33384fcf5e52f8be939fae48f0ac0def2b385f",
-    "os16-multigrid": "df074d642d824888608af98ab4a4d5052d45da787294cc9744676fcaf6fc65cc",
-    "os8-multigrid-degridding": "f02c5e17f535b82f748c32dd9a60e1cd7c30addc410d4a9d6a49527587861903",
-    "os8-strided": "d636f102992b09b20d92a9d7a37eecf780d573face087eb9391a930870386478",
-    "module-trimmed-multigrid-rate2": "a860d55792bd2c3b5c203cf4310e81ef7c44148089cf4fe11296ac90d61b9051",
+    "classifier": "ed3bfdd79160f0b52bbbc99680e9ff3cca3d9620dd6880b8dfc661ee1913ec5a",
+    "os16-multigrid": "b036ff6c894a6bc8dc85c49e89ade1d7ad0fc9a752ca4c036166f91e1ab54dae",
+    "os8-multigrid-degridding": "3857c9cefe3fe0e87712f6cc5c882636b64e535f23d4a6f415bdbb62bdf0ddb7",
+    "os8-strided": "e9daa841254d852ae3432e8a650edadb01fc8dcfeea916a19ddf44d08cf6704c",
+    "module-trimmed-multigrid-rate2": "768f283547cff79855d5cd2897fc2411542678451a9938b1df6f1b50c3103e27",
 }
 
 

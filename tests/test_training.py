@@ -52,13 +52,12 @@ def cfg(iters, lr=0.5, batch=2, seed=0, **kw):
 
 
 def conv_graph(hw=(32, 32), classes=2, width=16):
-    """Two 3x3 convs around BN+ReLU: the tape dominates the memory."""
+    """Two 3x3 convs around a BN-ReLU: the tape dominates the memory."""
     g = NetworkGraph(3, hw)
     g.add("c1", "conv", ["input"], cin=3, cout=width, k=(3, 3), s=(1, 1),
           d=(1, 1), p=(1, 1), bias=False)
-    g.add("bn", "bn", ["c1"], c=width, decay=0.99, eps=1e-5)
-    g.add("relu", "relu", ["bn"])
-    g.add("cls", "conv", ["relu"], cin=width, cout=classes, k=(3, 3),
+    g.add("bn", "bn_relu", ["c1"], c=width, decay=0.99, eps=1e-5)
+    g.add("cls", "conv", ["bn"], cin=width, cout=classes, k=(3, 3),
           s=(1, 1), d=(1, 1), p=(1, 1), bias=True)
     return g
 
