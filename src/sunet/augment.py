@@ -2,26 +2,23 @@
 
 Images travel as float32 (c, h, w), masks as uint8 (h, w) class indexes.
 Geometry always moves both together: bilinear resampling for the image,
-nearest for the mask, and anything falling outside the source frame is
-filled with the per-channel image mean / the ignore index, so the
-augmentation never fabricates labels.
+nearest for the mask. A sample pixel that the rescaled, rotated source
+does not cover takes the source image's per-channel mean and the ignore
+index, so the augmentation never fabricates labels.
 
 A training sample keeps only a crop of the rescaled, rotated frame.
 Rotation keeps the frame size, so the crop offsets are drawn before any
 pixel is computed, and only the pixels the crop reads are evaluated.
 The resizes and the rotation each take a window and compute every
 window pixel with the arithmetic the whole frame would use, so a sample
-is the same, bit for bit, as resizing and rotating the whole frame and
-then cropping:
-- with no rotation, only the crop window is resized;
-- with a rotation, only the block of rows and columns that the rotated
-  window samples is resized, and the window is rotated out of it;
-- a rotated window pixel that leaves the frame takes the frame's mean,
-  so then the whole frame is resized (the window is still all that is
-  rotated);
-- a rescaled frame smaller than the crop is padded with the rotated
-  frame's mean, so that case rotates the whole frame before padding
-  and cropping.
+is the same, bit for bit, as resizing, rotating and padding the whole
+frame and then cropping:
+- with no rotation and the crop inside the rescaled frame, only the
+  crop window is resized;
+- otherwise only the block of rows and columns that the window's
+  covered pixels sample is resized (nothing, if none is covered), and
+  the window is rotated out of it. Since the fill is the source's mean,
+  no other pixel of the rescaled frame is ever computed.
 """
 from __future__ import annotations
 
@@ -145,108 +142,91 @@ def resize_nearest(mask: np.ndarray, out_hw: tuple[int, int],
     return mask[ys.astype(np.intp)][:, xs.astype(np.intp)]
 
 
-def _rotation_sources(hw, degrees: float, window) -> tuple[np.ndarray, np.ndarray]:
-    """Source coordinates (sy, sx) each window pixel of the rotated hw
-    frame samples: the rotation about the frame's centre."""
+def _rotation_sources(hw, degrees: float, window):
+    """Which window pixels of the rotated hw frame are inside, and the
+    source coordinates (sy, sx) those pixels sample: the rotation about
+    the frame's centre. A pixel is inside when it and its source lie in
+    the frame. Only a window that runs past the frame's bottom or right
+    edge has pixels outside the frame; the mask covers the window's
+    top-left part that lies in the frame, and the rest is never
+    evaluated."""
     h, w = hw
     wy, wx, wh, ww = window
     theta = math.radians(degrees)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    dy = np.arange(wy, wy + wh, dtype=np.float64)[:, None] - cy
-    dx = np.arange(wx, wx + ww, dtype=np.float64) - cx
+    dy = np.arange(wy, min(wy + wh, h), dtype=np.float64)[:, None] - cy
+    dx = np.arange(wx, min(wx + ww, w), dtype=np.float64) - cx
     # a row term plus a column term, in the order cy + cos·dy + sin·dx
     # evaluates, so every pixel gets the same bits at any window
     sy = (cy + cos_t * dy) + sin_t * dx
     sx = (cx - sin_t * dy) + cos_t * dx
-    return sy, sx
+    inside = (sy >= 0) & (sy <= h - 1) & (sx >= 0) & (sx <= w - 1)
+    return inside, sy[inside], sx[inside]
 
 
-def _tap_span(s: np.ndarray, n: int) -> tuple[int, int] | None:
+def _tap_span(s: np.ndarray, n: int) -> tuple[int, int]:
     """First and last source index the bilinear (floor, floor + 1) and
-    nearest (rint) taps of coordinates s read, or None when some
-    coordinate leaves [0, n - 1] and takes the frame's mean instead."""
-    lo, hi = float(s.min()), float(s.max())
-    if not (0 <= lo and hi <= n - 1):
-        return None
-    return math.floor(lo), min(math.floor(hi) + 1, n - 1)
+    nearest (rint) taps of coordinates s, all in [0, n - 1], read."""
+    return math.floor(s.min()), min(math.floor(s.max()) + 1, n - 1)
 
 
 def rotate_pair(img: np.ndarray, mask: np.ndarray, degrees: float,
-                ignore_index: int = IGNORE_INDEX, *,
+                ignore_index: int = IGNORE_INDEX, *, fill,
                 window: tuple[int, int, int, int] | None = None,
                 frame: tuple[int, int, int, int] | None = None,
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Rotate image and mask about the center by the same angle.
 
-    The image is sampled bilinearly with out-of-frame positions set to
-    the per-channel mean; the mask is sampled nearest with out-of-frame
-    positions set to the ignore index.
+    The image is sampled bilinearly and the mask nearest. A pixel whose
+    source leaves the frame takes ``fill``, one value per channel (or
+    one for all), in the image and the ignore index in the mask.
 
     ``window=(y0, x0, wh, ww)`` evaluates only that part of the rotated
-    frame. Every output pixel is computed by the same arithmetic as in
-    the full rotation, so the result equals the full rotation cropped
-    to the window, bit for bit.
+    frame. It may run past the frame's bottom and right edges, and the
+    pixels there take the fill as well, as if the rotated frame were
+    padded. Every output pixel is computed by the same arithmetic as in
+    the full rotation, so the result equals the full rotation, padded
+    and cropped to the window, bit for bit.
 
     ``frame=(top, left, h, w)`` says that img and mask are only a block
     of an h x w frame, starting at its pixel (top, left); the window is
-    in frame coordinates. The block must hold every pixel the window
-    reads, and no window pixel may leave the frame, because the fill is
-    the whole frame's mean.
+    in frame coordinates. The block must lie in the frame and hold every
+    pixel the window reads; if the window reads none, it may be empty.
     """
     c, bh, bw = img.shape
     top, left, h, w = (0, 0, bh, bw) if frame is None else frame
-    wy, wx, wh, ww = _window(window, (h, w), "rotation")
-    sy, sx = _rotation_sources((h, w), degrees, (wy, wx, wh, ww))
-    inside = (sy >= 0) & (sy <= h - 1) & (sx >= 0) & (sx <= w - 1)
-    if (top, left, bh, bw) != (0, 0, h, w):
-        _window((top, left, bh, bw), (h, w), "rotation block")
-        rows, cols = _tap_span(sy, h), _tap_span(sx, w)
-        if (rows is None or cols is None or rows[0] < top or rows[1] >= top + bh
-                or cols[0] < left or cols[1] >= left + bw):
+    wy, wx, wh, ww = window = (0, 0, h, w) if window is None else window
+    _window(window, (max(h, wy + wh), max(w, wx + ww)), "rotation")
+    inside, sy, sx = _rotation_sources((h, w), degrees, window)
+    if sy.size:
+        (ra, rb), (ca, cb) = _tap_span(sy, h), _tap_span(sx, w)
+        if not (0 <= top <= ra and rb < top + bh <= h
+                and 0 <= left <= ca and cb < left + bw <= w):
             raise DataError(f"rotation window {window} reads outside the "
                             f"block {(top, left, bh, bw)} of frame {(h, w)}")
 
-    y0 = np.clip(np.floor(sy), 0, h - 1).astype(np.intp)
-    x0 = np.clip(np.floor(sx), 0, w - 1).astype(np.intp)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    ty = np.clip(sy, 0, h - 1) - y0
-    tx = np.clip(sx, 0, w - 1) - x0
-    ry = np.clip(np.rint(sy), 0, h - 1).astype(np.intp)
-    rx = np.clip(np.rint(sx), 0, w - 1).astype(np.intp)
-
+    # inside pixels' sources lie in the frame, so only the +1 taps clamp
+    y0 = np.floor(sy).astype(np.intp)
+    x0 = np.floor(sx).astype(np.intp)
+    ty, tx = sy - y0, sx - x0
     # each tap is one take from the flattened block, the cheapest gather
-    r0, r1 = (y0 - top) * bw, (y1 - top) * bw
-    c0, c1 = x0 - left, x1 - left
-    img64 = img.astype(np.float64)
-    flat = img64.reshape(c, -1)
+    r0, r1 = (y0 - top) * bw, (np.minimum(y0 + 1, h - 1) - top) * bw
+    c0, c1 = x0 - left, np.minimum(x0 + 1, w - 1) - left
+    flat = img.astype(np.float64).reshape(c, -1)
     ux = 1 - tx
     top_row = np.take(flat, r0 + c0, axis=1) * ux + np.take(flat, r0 + c1, axis=1) * tx
     bot_row = np.take(flat, r1 + c0, axis=1) * ux + np.take(flat, r1 + c1, axis=1) * tx
-    out = top_row * (1 - ty) + bot_row * ty
-    if not inside.all():
-        fill = img64.mean(axis=(1, 2))
-        out = np.where(inside, out, fill[:, None, None])
-    out = out.astype(img.dtype)
-    labels = np.take(mask.reshape(-1), (ry - top) * bw + (rx - left))
-    mout = np.where(inside, labels, np.uint8(ignore_index)).astype(mask.dtype)
+    vals = top_row * (1 - ty) + bot_row * ty
+    out = np.empty((c, wh, ww), dtype=img.dtype)
+    out[:] = np.reshape(fill, (-1, 1, 1)).astype(img.dtype)   # cast once, not per pixel
+    ih, iw = inside.shape
+    for k in range(c):  # a 2-d mask per channel scatters far faster than a 3-d one
+        out[k, :ih, :iw][inside] = vals[k]
+    ry, rx = np.rint(sy).astype(np.intp), np.rint(sx).astype(np.intp)
+    mout = np.full((wh, ww), ignore_index, dtype=mask.dtype)
+    mout[:ih, :iw][inside] = np.take(mask.reshape(-1), (ry - top) * bw + (rx - left))
     return out, mout
-
-
-def _pad_to(img: np.ndarray, mask: np.ndarray, min_hw: tuple[int, int],
-            ignore_index: int) -> tuple[np.ndarray, np.ndarray]:
-    c, h, w = img.shape
-    ph, pw = max(h, min_hw[0]), max(w, min_hw[1])
-    if (ph, pw) == (h, w):
-        return img, mask
-    fill = img.mean(axis=(1, 2), dtype=np.float64).astype(img.dtype)
-    big = np.empty((c, ph, pw), dtype=img.dtype)
-    big[:] = fill[:, None, None]
-    big[:, :h, :w] = img
-    mbig = np.full((ph, pw), ignore_index, dtype=mask.dtype)
-    mbig[:h, :w] = mask
-    return big, mbig
 
 
 def augment_sample(img: np.ndarray, mask: np.ndarray, cfg: AugmentConfig,
@@ -254,21 +234,21 @@ def augment_sample(img: np.ndarray, mask: np.ndarray, cfg: AugmentConfig,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Scale, rotate, crop and maybe flip one training pair.
 
-    Mask positions the sample does not cover take ignore_index, the
-    dataset's ignore label.
+    Sample pixels the rescaled, rotated source does not cover take the
+    source image's per-channel mean, and ignore_index, the dataset's
+    ignore label, in the mask.
 
     Draw order is fixed (scale, angle, crop y, crop x, flip) and every
     draw happens on every call, so a config that disables a transform
     still consumes the same randomness and stays bit-compatible.
 
     Rotation keeps the frame size, so the crop offsets are known before
-    any pixel is computed, and only what the crop reads is evaluated:
-    the crop window of the rescaled frame when there is no rotation,
-    else the block of the rescaled frame that the rotated window
-    samples. The whole frame is rescaled when a rotated window pixel
-    leaves it, since the fill is the frame's mean. If the rescaled frame
-    is smaller than the crop, the whole frame is rotated, padded with
-    the rotated frame's mean, and then cropped.
+    any pixel is computed, and only what the crop reads is evaluated.
+    With no rotation and the crop inside the rescaled frame, that is the
+    crop window of the rescaled frame. Otherwise it is the block of the
+    rescaled frame that the window's covered pixels sample, and the
+    window is rotated out of that block; a crop larger than the frame
+    runs past its bottom and right edges.
     """
     if img.ndim != 3 or mask.ndim != 2 or img.shape[1:] != mask.shape:
         raise DataError(
@@ -279,33 +259,27 @@ def augment_sample(img: np.ndarray, mask: np.ndarray, cfg: AugmentConfig,
     sh, sw = mask.shape
     h, w = out_hw = (max(1, int(round(sh * scale))), max(1, int(round(sw * scale))))
     ch, cw = cfg.crop_hw
-    ph, pw = max(h, ch), max(w, cw)
-    y0 = int(rng.integers(0, ph - ch + 1))
-    x0 = int(rng.integers(0, pw - cw + 1))
+    y0 = int(rng.integers(0, max(h, ch) - ch + 1))
+    x0 = int(rng.integers(0, max(w, cw) - cw + 1))
     window = (y0, x0, ch, cw)
-    if (ph, pw) != (h, w):
-        # the pad fill is the mean of the rotated frame: work on it whole
-        img = resize_bilinear(img, out_hw)
-        mask = resize_nearest(mask, out_hw)
-        if angle != 0.0:
-            img, mask = rotate_pair(img, mask, angle, ignore_index)
-        img, mask = _pad_to(img, mask, cfg.crop_hw, ignore_index)
-        img = img[:, y0:y0 + ch, x0:x0 + cw]
-        mask = mask[y0:y0 + ch, x0:x0 + cw]
-    elif angle == 0.0:
+    if angle == 0.0 and ch <= h and cw <= w:
         img = resize_bilinear(img, out_hw, window)
         mask = resize_nearest(mask, out_hw, window)
     else:
-        sy, sx = _rotation_sources(out_hw, angle, window)
-        rows, cols = _tap_span(sy, h), _tap_span(sx, w)
-        block = frame = None    # the whole frame
-        if rows is not None and cols is not None:
-            block = (rows[0], cols[0], rows[1] - rows[0] + 1, cols[1] - cols[0] + 1)
-            frame = (rows[0], cols[0], h, w)
-        img = resize_bilinear(img, out_hw, block)
-        mask = resize_nearest(mask, out_hw, block)
-        img, mask = rotate_pair(img, mask, angle, ignore_index,
-                                window=window, frame=frame)
+        # the fill is the source's mean, so no pixel that is not inside
+        # needs the rescaled frame
+        fill = img.mean(axis=(1, 2), dtype=np.float64)
+        _, sy, sx = _rotation_sources(out_hw, angle, window)
+        if sy.size:
+            (top, bottom), (left, right) = _tap_span(sy, h), _tap_span(sx, w)
+            block = (top, left, bottom - top + 1, right - left + 1)
+            img = resize_bilinear(img, out_hw, block)
+            mask = resize_nearest(mask, out_hw, block)
+        else:   # no pixel inside: nothing is read
+            top = left = 0
+            img, mask = img[:, :0, :0], mask[:0, :0]
+        img, mask = rotate_pair(img, mask, angle, ignore_index, fill=fill,
+                                window=window, frame=(top, left, h, w))
 
     if rng.random() < cfg.hflip_prob:
         img = img[:, :, ::-1]

@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .tensor import conv_out_size, tconv_output_padding
 
@@ -24,22 +27,61 @@ GRAPH_HEADER = "sunet-graph 1"
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 _TAG_KEYS = ("stage", "level", "role")
 
-# Each kind with the attributes its nodes must carry; a conv or tconv may
-# also set bias. A tconv node takes two inputs: the tensor it upsamples,
-# then the node whose spatial extent it restores. Its output padding is
-# derived from the two extents wherever the graph runs, so it runs at any
-# input size. An upsample node restores the extent of the graph input.
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    # NaN fails every range test below
+    return (isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool))
+
+
+def _tuple_of(n: int, least: int, wants: str):
+    return wants, lambda v: (isinstance(v, (tuple, list)) and len(v) == n
+                             and all(_is_int(x) and x >= least for x in v))
+
+
+# Attribute forms: (what the form wants, its test).
+_POSITIVE = "a positive integer", lambda v: _is_int(v) and v >= 1
+_POSITIVE_PAIR = _tuple_of(2, 1, "a pair of positive integers")
+_PAD_PAIR = _tuple_of(2, 0, "a pair of non-negative integers")
+_PAD_4 = _tuple_of(4, 0, "a 4-tuple of non-negative integers")
+_DECAY = "a number in [0, 1]", lambda v: _is_real(v) and 0 <= v <= 1
+_EPS = "a finite number > 0", lambda v: _is_real(v) and 0 < v < math.inf
+# a conv or tconv may also set bias
+_OPTIONAL = {"bias": ("0 or 1",
+                      lambda v: isinstance(v, (int, np.integer)) and v in (0, 1))}
+
+_CONV = {"cin": _POSITIVE, "cout": _POSITIVE, "k": _POSITIVE_PAIR,
+         "s": _POSITIVE_PAIR, "d": _POSITIVE_PAIR, "p": _PAD_PAIR}
+
+
+@dataclass(frozen=True)
+class Kind:
+    """The inputs a node of a kind reads, as (least, most), and the form
+    of each attribute it must carry."""
+    inputs: tuple[int, float]
+    attrs: dict
+
+
+# A tconv node takes two inputs: the tensor it upsamples, then the node
+# whose spatial extent it restores. Its output padding is derived from
+# the two extents wherever the graph runs, so it runs at any input size.
+# An upsample node restores the extent of the graph input.
 KINDS = {
-    "input": ("c",),
-    "conv": ("cin", "cout", "k", "s", "d", "p"),
-    "tconv": ("cin", "cout", "k", "s", "d", "p"),
-    "bn_relu": ("c", "decay", "eps"),
-    "avg_pool": ("window", "s", "d", "pad"),
-    "gap": (),
-    "add": (),
-    "concat": (),
-    "upsample": (),
-    "grid_mask": ("period", "keep"),
+    "input": Kind((0, 0), {"c": _POSITIVE}),
+    "conv": Kind((1, 1), _CONV),
+    "tconv": Kind((2, 2), _CONV),
+    "bn_relu": Kind((1, 1), {"c": _POSITIVE, "decay": _DECAY, "eps": _EPS}),
+    "avg_pool": Kind((1, 1), {"window": _POSITIVE_PAIR, "s": _POSITIVE_PAIR,
+                              "d": _POSITIVE_PAIR, "pad": _PAD_4}),
+    "gap": Kind((1, 1), {}),
+    "add": Kind((2, 2), {}),
+    "concat": Kind((2, math.inf), {}),
+    "upsample": Kind((1, 1), {}),
+    "grid_mask": Kind((1, 1), {"period": _POSITIVE, "keep": _POSITIVE}),
 }
 
 
@@ -68,6 +110,8 @@ class NetworkGraph:
         self.add("input", "input", (), c=self.in_channels)
 
     def add(self, name: str, kind: str, inputs, **attrs) -> str:
+        """Append a node; its input count and the form of each attribute
+        are checked against KINDS, and a GraphError names the node."""
         if not _NAME_RE.match(name):
             raise GraphError(f"node {name!r}: invalid name")
         if name in self.by_name:
@@ -78,13 +122,20 @@ class NetworkGraph:
         for src in inputs:
             if src not in self.by_name:
                 raise GraphError(f"node {name!r}: input {src!r} not defined yet")
-        if kind == "tconv" and len(inputs) != 2:
-            raise GraphError(f"node {name!r}: tconv takes (source, extent) "
-                             f"inputs, got {len(inputs)}")
+        spec = KINDS[kind]
+        least, most = spec.inputs
+        if not least <= len(inputs) <= most:
+            want = least if least == most else f"at least {least}"
+            raise GraphError(f"node {name!r}: {kind} takes {want} input(s), "
+                             f"got {len(inputs)}")
         tags = {k: attrs.pop(k) for k in _TAG_KEYS if k in attrs}
-        for key in KINDS[kind]:
+        for key in spec.attrs:
             if key not in attrs:
                 raise GraphError(f"node {name!r}: {kind} needs attribute {key!r}")
+        for key, (wants, test) in {**spec.attrs, **_OPTIONAL}.items():
+            if key in attrs and not test(attrs[key]):
+                raise GraphError(f"node {name!r}: attribute {key!r} must be "
+                                 f"{wants}, got {attrs[key]!r}")
         node = Node(name, kind, inputs, attrs, tags)
         self.nodes.append(node)
         self.by_name[name] = node

@@ -178,6 +178,8 @@ def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
         fields.append(int(token))
     pos += 1
     width, height, maxval = fields
+    if width == 0 or height == 0:
+        raise DataError(f"{path}: empty {width}x{height} raster")
     if maxval != 255:
         raise DataError(f"{path}: only maxval 255 supported, got {maxval}")
     expect = width * height * channels

@@ -720,17 +720,10 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int 
     if (valid & ~inside).any():
         bad = int(labels[valid & ~inside].flat[0])
         raise EngineError(f"label {bad} outside [0, {k}) and not ignore_index")
-    count = int(valid.sum())
+    # with every position ignored the valid mask zeroes both the loss
+    # and the gradient, and the count only has to stay nonzero
+    count = max(int(valid.sum()), 1)
     dt = logits.data.dtype
-    if count == 0:
-        out = np.zeros((1, 1, 1, 1), dtype=dt)
-
-        def backward_empty(grad):
-            if logits.requires_grad:
-                logits._accumulate(np.zeros((n, k, h, w), dtype=dt), owned=True)
-
-        return _result(out, (logits,), backward_empty)
-
     zmax = logits.data.max(axis=1, keepdims=True)
     shifted = logits.data - zmax
     ez = np.exp(shifted)

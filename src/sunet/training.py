@@ -115,6 +115,15 @@ def train(net: Network, dataset, cfg: TrainConfig, out_dir=None) -> dict:
     """
     if len(dataset) == 0:
         raise TrainError("empty dataset")
+    if cfg.augment is None:
+        # without augmentation the batch stacks the images as they are
+        size = dataset.images[0].shape[1:]
+        for i, img in enumerate(dataset.images):
+            if img.shape[1:] != size:
+                raise TrainError(
+                    f"dataset entry {i}: image {img.shape[1:]} differs from "
+                    f"entry 0's {size}; training without augmentation needs "
+                    f"one image size")
     ignore = dataset.ignore_index
     opt = SGD(net.params, cfg.optimizer, decay_names=net.decay_param_names())
     rows = []

@@ -1,6 +1,7 @@
 """Exit codes and end-to-end command pipeline."""
 import hashlib
 import os
+from pathlib import Path
 
 import pytest
 
@@ -58,7 +59,7 @@ def test_analyze_csv(tmp_path, capsys):
     rc, _, _ = run(capsys, "analyze", "--toy", "8", "--input-hw", "64",
                    "--csv", path)
     assert rc == 0
-    lines = open(path).read().strip().split("\n")
+    lines = Path(path).read_text().strip().split("\n")
     assert lines[0] == "node,kind,out_c,out_h,out_w,params,rf_h,rf_w,jump_h,jump_w"
     graph = build_classifier(toy_config(8), input_hw=(64, 64))
     assert [line.split(",")[0] for line in lines[1:]] == [n.name for n in graph.nodes]
@@ -80,7 +81,7 @@ def test_build_round_trip(tmp_path, capsys):
     rc, out, _ = run(capsys, "build", "--toy", "8", "--input-hw", "64",
                      "--out", path)
     assert rc == 0
-    text = open(path).read()
+    text = Path(path).read_text()
     g = NetworkGraph.parse(text)
     assert g.serialize() == text
     assert g.digest[:12] in out
@@ -90,13 +91,37 @@ def test_build_round_trip(tmp_path, capsys):
 CONV = "node c1 conv in=input cin=3 cout=8 d=1x1 k=3x3 p=1x1 s=1x1\n"
 
 
+BN = "node b1 bn_relu in=input c=3 decay=0.99 eps=1e-05\n"
+
+
 @pytest.mark.parametrize("input_line,node_line,message", [
     ("input c=3 h=16 w=16", "node c1\n", "line 3: node line needs a name and a kind"),
     ("input c=3 h=16 w=16", CONV.replace("cin=3 ", ""), "node 'c1': conv needs attribute 'cin'"),
     ("input c=3 h=16", CONV, "line 2: input line needs 'w'"),
     ("input c=3 h=16 w=16", CONV.replace("in=input", "input"),
      "line 3: token 'input' is not key=value"),
-], ids=["node-name-only", "conv-without-cin", "input-without-w", "bare-token"])
+    ("input c=3 h=16 w=16", CONV.replace("in=input ", ""),
+     "node 'c1': conv takes 1 input(s), got 0"),
+    ("input c=3 h=16 w=16", CONV.replace("in=input", "in=input,input"),
+     "node 'c1': conv takes 1 input(s), got 2"),
+    ("input c=3 h=16 w=16", CONV + "node a1 add in=c1\n",
+     "node 'a1': add takes 2 input(s), got 1"),
+    ("input c=3 h=16 w=16", CONV.replace("k=3x3", "k=3"),
+     "node 'c1': attribute 'k' must be a pair of positive integers, got 3"),
+    ("input c=3 h=16 w=16", CONV.replace("s=1x1", "s=0x0"),
+     "node 'c1': attribute 's' must be a pair of positive integers, got (0, 0)"),
+    ("input c=3 h=16 w=16", CONV.replace("cout=8", "cout=0"),
+     "node 'c1': attribute 'cout' must be a positive integer, got 0"),
+    ("input c=3 h=16 w=16", BN.replace("decay=0.99", "decay=nan"),
+     "node 'b1': attribute 'decay' must be a number in [0, 1], got nan"),
+    ("input c=3 h=16 w=16", BN.replace("eps=1e-05", "eps=-1"),
+     "node 'b1': attribute 'eps' must be a finite number > 0, got -1"),
+    ("input c=3 h=16 w=16", "node g1 grid_mask in=input keep=0 period=2\n",
+     "node 'g1': attribute 'keep' must be a positive integer, got 0"),
+], ids=["node-name-only", "conv-without-cin", "input-without-w", "bare-token",
+        "conv-without-input", "conv-with-two-inputs", "add-with-one-input",
+        "int-kernel", "zero-stride", "zero-cout", "nan-decay", "negative-eps",
+        "zero-keep"])
 def test_malformed_graph_file_exits_1(tmp_path, capsys, input_line, node_line,
                                       message):
     body = f"sunet-graph 1\n{input_line}\n{node_line}"
@@ -113,7 +138,7 @@ def test_convert_degridding_layout(tmp_path, capsys):
                    "--input-hw", "513", "--output-stride", "8",
                    "--degridding", "--classes", "21", "--out", path)
     assert rc == 0
-    g = NetworkGraph.parse(open(path).read())
+    g = NetworkGraph.parse(Path(path).read_text())
     d1, d2 = g.by_name["deg1.conv"].attrs, g.by_name["deg2.conv"].attrs
     assert d1["d"] == (2, 2) and d1["cout"] == 512
     assert d2["d"] == (1, 1) and d2["cout"] == 512
@@ -139,7 +164,7 @@ def test_gen_data_deterministic(tmp_path, capsys):
         for base, _, files in os.walk(root):
             for f in files:
                 p = os.path.join(base, f)
-                out[os.path.relpath(p, root)] = open(p, "rb").read()
+                out[os.path.relpath(p, root)] = Path(p).read_bytes()
         return out
 
     assert snapshot(a) == snapshot(b)
@@ -192,7 +217,7 @@ def pipeline(tmp_path_factory):
 def test_train_outputs(pipeline, capsys):
     capsys.readouterr()
     assert os.path.exists(pipeline["ckpt"])
-    lines = open(os.path.join(pipeline["out"], "loss.csv")).read().strip()
+    lines = Path(pipeline["out"], "loss.csv").read_text().strip()
     assert lines.split("\n")[0] == "iter,lr,loss"
     assert len(lines.split("\n")) == 4
 
@@ -205,7 +230,7 @@ def test_train_crop_off_the_graph_size(pipeline, tmp_path, capsys):
                    "--iters", "2", "--batch-size", "2", "--crop", "48x40",
                    "--seed", "2")
     assert rc == 0
-    assert len(open(out / "loss.csv").read().strip().split("\n")) == 3
+    assert len((out / "loss.csv").read_text().strip().split("\n")) == 3
 
 
 def test_eval_prints_miou(pipeline, tmp_path, capsys):
@@ -216,7 +241,7 @@ def test_eval_prints_miou(pipeline, tmp_path, capsys):
                      "--scales", "1.0", "--csv", csv)
     assert rc == 0
     assert "mIoU:" in out
-    rows = open(csv).read().strip().split("\n")
+    rows = Path(csv).read_text().strip().split("\n")
     assert rows[0] == "class,iou"
     assert rows[-1].startswith("miou,")
     float(rows[-1].split(",")[1])

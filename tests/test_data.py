@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ def dir_bytes(root):
     for base, _, files in os.walk(root):
         for f in files:
             p = os.path.join(base, f)
-            out[os.path.relpath(p, root)] = open(p, "rb").read()
+            out[os.path.relpath(p, root)] = Path(p).read_bytes()
     return out
 
 
@@ -45,7 +46,7 @@ def test_different_seed_changes_pixels(tmp_path):
 def test_class_histogram_matches_mask_rescan(tmp_path):
     spec = SyntheticSpec(canvas_hw=(48, 48), classes=4, seed=3)
     man = generate_synthetic(spec, 10, tmp_path / "d")
-    stored = json.load(open(tmp_path / "d" / "manifest.json"))["class_pixels"]
+    stored = json.loads((tmp_path / "d" / "manifest.json").read_text())["class_pixels"]
     counts = np.zeros(4, dtype=np.int64)
     for i in range(len(man)):
         mask = read_pgm(man.mask_path(i))
@@ -125,6 +126,17 @@ def test_dataset_names_mismatched_entry(tmp_path):
         Dataset(man)
     assert "entry 1" in str(err.value)
     assert "size mismatch" in str(err.value)
+
+
+def test_dataset_rejects_empty_raster_naming_the_file(tmp_path):
+    man = generate_synthetic(SyntheticSpec(canvas_hw=(24, 24), seed=1), 2,
+                             tmp_path / "d")
+    Path(man.image_path(1)).write_bytes(b"P6\n0 0\n255\n")
+    Path(man.mask_path(1)).write_bytes(b"P5\n0 0\n255\n")
+    with pytest.raises(DataError) as err:
+        Dataset(man)
+    assert man.image_path(1) in str(err.value)
+    assert "empty 0x0 raster" in str(err.value)
 
 
 def test_dataset_names_mask_with_out_of_range_label(tmp_path):

@@ -163,6 +163,14 @@ def test_pgm_truncated_payload(tmp_path):
         sio.read_pgm(p)
 
 
+@pytest.mark.parametrize("size", ["0 0", "0 4", "4 0"])
+def test_pnm_rejects_empty_raster(tmp_path, size):
+    p = tmp_path / "e.pgm"
+    p.write_bytes(f"P5\n{size}\n255\n".encode())
+    with pytest.raises(DataError, match="e.pgm: empty"):
+        sio.read_pgm(p)
+
+
 def test_ppm_rejects_wrong_magic(tmp_path):
     p = tmp_path / "m.ppm"
     sio.write_pgm(tmp_path / "m.pgm", np.zeros((2, 2), dtype=np.uint8))

@@ -173,6 +173,17 @@ def test_softmax_cross_entropy_matches_per_pixel_oracle():
     assert abs(float(loss.data.reshape(())) - total / count) < 1e-12
 
 
+def test_softmax_cross_entropy_all_ignored_gives_zero_loss_and_gradient():
+    rng = np.random.default_rng(4)
+    logits = Tensor(rng.normal(size=(2, 3, 4, 5)).astype(np.float32),
+                    requires_grad=True)
+    loss = T.softmax_cross_entropy(logits, np.full((2, 4, 5), 255, dtype=np.int64))
+    assert loss.data.shape == (1, 1, 1, 1) and float(loss.data.reshape(())) == 0.0
+    loss.backward()
+    assert logits.grad.shape == logits.data.shape and logits.grad.dtype == np.float32
+    assert not logits.grad.any()
+
+
 def test_softmax_cross_entropy_rejects_out_of_range_label():
     logits = Tensor(np.zeros((1, 3, 2, 2), dtype=np.float32))
     labels = np.full((1, 2, 2), 7, dtype=np.int64)

@@ -80,6 +80,16 @@ def test_empty_dataset_rejected():
         train(net, ListDataset([], []), cfg(1))
 
 
+def test_mixed_image_sizes_without_augmentation_name_the_entry():
+    base = separable_dataset(n=4)
+    images = list(base.images)
+    images[2] = images[2][:, :6]
+    net = Network(tiny_graph())
+    with pytest.raises(TrainError, match=r"dataset entry 2: image \(6, 8\) "
+                                          r"differs from entry 0's \(8, 8\)"):
+        train(net, ListDataset(images, base.masks), cfg(1))
+
+
 def test_zero_iterations_checkpoint_is_initialization(tmp_path):
     net = Network(tiny_graph(), seed=3)
     before = {k: v.copy() for k, v in net.state_entries().items()}
