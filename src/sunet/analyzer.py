@@ -23,12 +23,11 @@ class RFState(NamedTuple):
     """Receptive field of one node along one axis, in input pixels.
 
     rf is the support extent, jump the spacing between adjacent output
-    samples, offset the center of the leftmost sample's field. Exact
-    rationals, so transposed layers lose nothing to rounding.
+    samples. Exact rationals, so transposed layers lose nothing to
+    rounding.
     """
     rf: Fraction
     jump: Fraction
-    offset: Fraction
 
 
 def param_counts(graph: NetworkGraph) -> dict[str, int]:
@@ -75,37 +74,30 @@ def receptive_field(graph: NetworkGraph, hw: tuple[int, int] | None = None
 def _fields(graph: NetworkGraph, shapes) -> dict[str, tuple[RFState, RFState]]:
     """receptive_field over already inferred node shapes."""
     states: dict[str, tuple[RFState, RFState]] = {}
-    one = Fraction(1)
 
-    def tap(st: RFState, k: int, d: int, p: int, s: int) -> RFState:
-        rf = st.rf + (k - 1) * d * st.jump
-        off = st.offset + (Fraction(d * (k - 1), 2) - p) * st.jump
-        return RFState(rf, st.jump * s, off)
+    def tap(st: RFState, k: int, d: int, s: int) -> RFState:
+        return RFState(st.rf + (k - 1) * d * st.jump, st.jump * s)
 
     for node in graph.nodes:
         kind, a = node.kind, node.attrs
         if kind == "input":
-            states[node.name] = (RFState(one, one, Fraction(0)),) * 2
+            states[node.name] = (RFState(Fraction(1), Fraction(1)),) * 2
             continue
         srcs = [states[s] for s in node.inputs]
         h, w = srcs[0]
         if kind == "conv":
-            h = tap(h, a["k"][0], a["d"][0], a["p"][0], a["s"][0])
-            w = tap(w, a["k"][1], a["d"][1], a["p"][1], a["s"][1])
+            h = tap(h, a["k"][0], a["d"][0], a["s"][0])
+            w = tap(w, a["k"][1], a["d"][1], a["s"][1])
         elif kind == "tconv":
-            h = h._replace(jump=h.jump / a["s"][0])
-            w = w._replace(jump=w.jump / a["s"][1])
-            h = tap(h, a["k"][0], a["d"][0], a["p"][0], 1)
-            w = tap(w, a["k"][1], a["d"][1], a["p"][1], 1)
+            h = tap(h._replace(jump=h.jump / a["s"][0]), a["k"][0], a["d"][0], 1)
+            w = tap(w._replace(jump=w.jump / a["s"][1]), a["k"][1], a["d"][1], 1)
         elif kind == "avg_pool":
-            h = tap(h, a["window"][0], a["d"][0], a["pad"][0], a["s"][0])
-            w = tap(w, a["window"][1], a["d"][1], a["pad"][2], a["s"][1])
+            h = tap(h, a["window"][0], a["d"][0], a["s"][0])
+            w = tap(w, a["window"][1], a["d"][1], a["s"][1])
         elif kind == "gap":
+            # an avg_pool whose window and stride are the input extent
             _, sh, sw = shapes[node.inputs[0]]
-            h = RFState(h.rf + (sh - 1) * h.jump, h.jump * sh,
-                        h.offset + Fraction(sh - 1, 2) * h.jump)
-            w = RFState(w.rf + (sw - 1) * w.jump, w.jump * sw,
-                        w.offset + Fraction(sw - 1, 2) * w.jump)
+            h, w = tap(h, sh, 1, sh), tap(w, sw, 1, sw)
         elif kind in ("bn_relu", "grid_mask"):
             pass
         elif kind in ("add", "concat"):
@@ -120,10 +112,8 @@ def _fields(graph: NetworkGraph, shapes) -> dict[str, tuple[RFState, RFState]]:
             _, oh, ow = shapes[node.name]
             rf_h = h.rf + h.jump if oh > 1 else h.rf
             rf_w = w.rf + w.jump if ow > 1 else w.rf
-            h = RFState(rf_h, h.jump * Fraction(sh, oh),
-                        h.offset + (Fraction(sh, oh) - 1) / 2 * h.jump)
-            w = RFState(rf_w, w.jump * Fraction(sw, ow),
-                        w.offset + (Fraction(sw, ow) - 1) / 2 * w.jump)
+            h = RFState(rf_h, h.jump * Fraction(sh, oh))
+            w = RFState(rf_w, w.jump * Fraction(sw, ow))
         else:
             raise GraphError(f"node {node.name!r}: no field rule for kind {kind!r}")
         states[node.name] = (h, w)

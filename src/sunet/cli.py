@@ -190,7 +190,9 @@ def _cmd_train(args) -> int:
                           batch_size=args.batch_size)
     aug = None
     if not args.no_augment:
-        aug = AugmentConfig(crop_hw=args.crop, scale_range=args.scale_range,
+        # without --crop, samples take the extent of the dataset's first image
+        crop = args.crop or (ds.images[0].shape[1:] if len(ds) else AugmentConfig.crop_hw)
+        aug = AugmentConfig(crop_hw=crop, scale_range=args.scale_range,
                             max_rotate=args.max_rotate,
                             hflip_prob=args.hflip_prob)
     cfg = TrainConfig(iters=args.iters, optimizer=opt, schedule=args.schedule,
@@ -298,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", choices=("cosine", "step"), default="cosine")
     p.add_argument("--step-factor", type=float, default=0.1)
     p.add_argument("--step-every", type=int, default=0)
-    p.add_argument("--crop", type=_hw, default=(512, 512), metavar="HxW")
+    p.add_argument("--crop", type=_hw, default=None, metavar="HxW",
+                   help="sample extent; defaults to the first image's")
     p.add_argument("--scale-range", type=_pair(float, "scale range"),
                    default=(0.5, 2.0), metavar="LO,HI")
     p.add_argument("--max-rotate", type=float, default=10.0)

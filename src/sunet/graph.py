@@ -9,7 +9,8 @@ structure. Graphs serialize to a line-based text format closed by a
 sha256 content digest.
 
 Serialized tag keys (stage, level, role) are reserved and never used as
-attribute names.
+attribute names. A stage tag names a part of the network, a level tag
+orders the activation dump, and role=skip marks a residual projection.
 """
 from __future__ import annotations
 
@@ -21,11 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import conv_out_size, tconv_output_padding
+from .tensor import conv_out_size, tconv_out_hw
 
 GRAPH_HEADER = "sunet-graph 1"
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
-_TAG_KEYS = ("stage", "level", "role")
 
 
 def _is_int(v) -> bool:
@@ -50,9 +50,14 @@ _PAD_PAIR = _tuple_of(2, 0, "a pair of non-negative integers")
 _PAD_4 = _tuple_of(4, 0, "a 4-tuple of non-negative integers")
 _DECAY = "a number in [0, 1]", lambda v: _is_real(v) and 0 <= v <= 1
 _EPS = "a finite number > 0", lambda v: _is_real(v) and 0 < v < math.inf
-# a conv or tconv may also set bias
-_OPTIONAL = {"bias": ("0 or 1",
-                      lambda v: isinstance(v, (int, np.integer)) and v in (0, 1))}
+# a conv may also set bias; a tconv has none, and may say bias=0
+_BIAS = "0 or 1", lambda v: isinstance(v, (int, np.integer)) and v in (0, 1)
+_NO_BIAS = "0 (a tconv has no bias)", lambda v: isinstance(v, (int, np.integer)) and v == 0
+
+# Tag forms, checked like attribute forms.
+_TAGS = {"stage": ("a name", lambda v: isinstance(v, str) and bool(_NAME_RE.match(v))),
+         "level": ("a non-negative integer", lambda v: _is_int(v) and v >= 0),
+         "role": ("'skip'", lambda v: v == "skip")}
 
 _CONV = {"cin": _POSITIVE, "cout": _POSITIVE, "k": _POSITIVE_PAIR,
          "s": _POSITIVE_PAIR, "d": _POSITIVE_PAIR, "p": _PAD_PAIR}
@@ -60,20 +65,21 @@ _CONV = {"cin": _POSITIVE, "cout": _POSITIVE, "k": _POSITIVE_PAIR,
 
 @dataclass(frozen=True)
 class Kind:
-    """The inputs a node of a kind reads, as (least, most), and the form
-    of each attribute it must carry."""
+    """The inputs a node of a kind reads, as (least, most), the form of
+    each attribute it must carry, and of each it may carry."""
     inputs: tuple[int, float]
     attrs: dict
+    optional: dict = field(default_factory=dict)
 
 
 # A tconv node takes two inputs: the tensor it upsamples, then the node
-# whose spatial extent it restores. Its output padding is derived from
-# the two extents wherever the graph runs, so it runs at any input size.
-# An upsample node restores the extent of the graph input.
+# whose spatial extent it restores, so it runs at any input size. So do
+# an upsample node, which restores the extent of the graph input, and a
+# gap node, an average pool whose window is its input's extent.
 KINDS = {
     "input": Kind((0, 0), {"c": _POSITIVE}),
-    "conv": Kind((1, 1), _CONV),
-    "tconv": Kind((2, 2), _CONV),
+    "conv": Kind((1, 1), _CONV, {"bias": _BIAS}),
+    "tconv": Kind((2, 2), _CONV, {"bias": _NO_BIAS}),
     "bn_relu": Kind((1, 1), {"c": _POSITIVE, "decay": _DECAY, "eps": _EPS}),
     "avg_pool": Kind((1, 1), {"window": _POSITIVE_PAIR, "s": _POSITIVE_PAIR,
                               "d": _POSITIVE_PAIR, "pad": _PAD_4}),
@@ -111,7 +117,9 @@ class NetworkGraph:
 
     def add(self, name: str, kind: str, inputs, **attrs) -> str:
         """Append a node; its input count and the form of each attribute
-        are checked against KINDS, and a GraphError names the node."""
+        are checked against KINDS, and of each tag against _TAGS, and a
+        GraphError names the node. An attribute its kind does not take is
+        an error too."""
         if not _NAME_RE.match(name):
             raise GraphError(f"node {name!r}: invalid name")
         if name in self.by_name:
@@ -128,14 +136,23 @@ class NetworkGraph:
             want = least if least == most else f"at least {least}"
             raise GraphError(f"node {name!r}: {kind} takes {want} input(s), "
                              f"got {len(inputs)}")
-        tags = {k: attrs.pop(k) for k in _TAG_KEYS if k in attrs}
+        tags = {k: attrs.pop(k) for k in _TAGS if k in attrs}
         for key in spec.attrs:
             if key not in attrs:
                 raise GraphError(f"node {name!r}: {kind} needs attribute {key!r}")
-        for key, (wants, test) in {**spec.attrs, **_OPTIONAL}.items():
-            if key in attrs and not test(attrs[key]):
+        forms = {**spec.attrs, **spec.optional}
+        for key, value in attrs.items():
+            if key not in forms:
+                raise GraphError(f"node {name!r}: {kind} has no attribute {key!r}")
+            wants, test = forms[key]
+            if not test(value):
                 raise GraphError(f"node {name!r}: attribute {key!r} must be "
-                                 f"{wants}, got {attrs[key]!r}")
+                                 f"{wants}, got {value!r}")
+        if kind == "grid_mask" and attrs["keep"] > attrs["period"]:
+            raise GraphError(f"node {name!r}: attribute 'keep' must be at most "
+                             f"period {attrs['period']}, got {attrs['keep']}")
+        for key, value in tags.items():
+            _check_tag(name, key, value)
         node = Node(name, kind, inputs, attrs, tags)
         self.nodes.append(node)
         self.by_name[name] = node
@@ -155,9 +172,8 @@ class NetworkGraph:
         if node is None:
             raise GraphError(f"node {name!r}: not defined")
         for key, value in kv.items():
-            if key not in _TAG_KEYS:
-                raise GraphError(f"node {name!r}: unknown tag {key!r}")
-            node.tags[key] = value
+            _check_tag(name, key, value)
+        node.tags.update(kv)
 
     # ------------------------------------------------------------ shapes
 
@@ -240,6 +256,14 @@ class NetworkGraph:
         return graph
 
 
+def _check_tag(name: str, key: str, value) -> None:
+    if key not in _TAGS:
+        raise GraphError(f"node {name!r}: unknown tag {key!r}")
+    wants, test = _TAGS[key]
+    if not test(value):
+        raise GraphError(f"node {name!r}: tag {key!r} must be {wants}, got {value!r}")
+
+
 def _key_values(tokens, lineno: int) -> dict[str, str]:
     """key=value tokens of one line as raw strings."""
     fields = {}
@@ -290,9 +314,8 @@ def _node_shape(node: Node, src, in_hw) -> tuple[int, int, int]:
         c, h, w = src[0]
         if c != a["cin"]:
             raise GraphError(f"node {node.name!r}: expects {a['cin']} channels, got {c}")
-        target = src[1][1:]
-        tconv_output_padding(node.name, (h, w), target, a["k"], a["s"], a["d"], a["p"])
-        return (a["cout"],) + target
+        return (a["cout"],) + tconv_out_hw((h, w), src[1][1:], a["k"], a["s"],
+                                           a["d"], a["p"])
     if kind in ("bn_relu", "grid_mask"):
         return src[0]
     if kind == "avg_pool":

@@ -11,9 +11,9 @@ from .tensor import Tensor
 def param_shapes(graph: NetworkGraph) -> dict[str, tuple[int, int, int, int]]:
     """Learnable parameter shapes keyed by '<node>.<name>'.
 
-    A conv or tconv node holds a weight '.w' and, with bias set,
-    a '.b'; a tconv weight is (cin, cout, kh, kw), so it shares the conv
-    layout with the two channel axes swapped. A bn_relu node holds
+    A conv or tconv node holds a weight '.w' and a conv with bias set
+    also a '.b'; a tconv weight is (cin, cout, kh, kw), so it shares the
+    conv layout with the two channel axes swapped. A bn_relu node holds
     '.gamma' and '.beta'.
     """
     shapes: dict[str, tuple[int, int, int, int]] = {}
@@ -160,13 +160,9 @@ class Network:
                             self.params.get(f"{node.name}.b"),
                             stride=a["s"], dilation=a["d"], padding=a["p"])
         if kind == "tconv":
-            op = T.tconv_output_padding(node.name, src[0].data.shape[2:],
-                                        src[1].data.shape[2:], a["k"], a["s"],
-                                        a["d"], a["p"])
             return T.conv2d_transpose(src[0], self.params[f"{node.name}.w"],
-                                      self.params.get(f"{node.name}.b"),
-                                      stride=a["s"], dilation=a["d"], padding=a["p"],
-                                      output_padding=op)
+                                      src[1].data.shape[2:], stride=a["s"],
+                                      dilation=a["d"], padding=a["p"])
         if kind == "bn_relu":
             return T.batchnorm(src[0], self.params[f"{node.name}.gamma"],
                                self.params[f"{node.name}.beta"],
@@ -178,7 +174,7 @@ class Network:
             return T.avg_pool2d(src[0], window=a["window"], stride=a["s"],
                                 dilation=a["d"], padding=a["pad"])
         if kind == "gap":
-            return T.global_avg_pool(src[0])
+            return T.avg_pool2d(src[0], window=src[0].data.shape[2:])
         if kind == "add":
             return T.add(src[0], src[1])
         if kind == "concat":

@@ -9,13 +9,14 @@ float64 copies of whole activations; matrix contractions run in the
 tensor dtype through BLAS.
 
 conv2d runs a conv and conv2d_transpose the adjoint of the conv with its
-weight. A pointwise conv (1x1, stride 1, no padding), such as a
-fully-connected layer on a 1x1 map, reads its input as its column
-matrix. Other convs gather patches with _im2col and scatter them back
-with _col2im, both clipping each kernel tap to the unpadded input, so
-no padded copy is built; the per-tap slices (the tap plan) are cached
-per shape. A conv's adjoint is one matmul on the pointwise path, one gather
-with the flipped kernel at stride 1, and a matmul and a _col2im scatter
+weight, restoring the extent it is given (tconv_out_hw checks it). A
+pointwise conv (1x1, stride 1, no padding), such as a fully-connected
+layer on a 1x1 map, reads its input as its column matrix. Other convs
+gather patches with _im2col and scatter them back with _col2im, both
+clipping each kernel tap to the unpadded input, so no padded copy is
+built; the per-tap slices (the tap plan) are cached per shape. A conv's
+adjoint is one gather with the flipped kernel at stride 1 (a view of
+the gradient on the pointwise path), and a matmul and a _col2im scatter
 when strided. So conv2d's input gradient and conv2d_transpose's forward
 scatter only when strided, and at stride 1 conv2d's gathered matrix
 gives its weight gradient too.
@@ -221,29 +222,21 @@ def conv_out_size(size: int, k: int, s: int, d: int, p: int) -> int:
     return out
 
 
-def tconv_out_size(size: int, k: int, s: int, d: int, p: int, op: int) -> int:
-    """Spatial output size of a transposed convolution along one axis."""
-    out = (size - 1) * s - 2 * p + d * (k - 1) + 1 + op
-    if out < 1:
-        raise EngineError(f"tconv output collapsed: size={size} k={k} s={s} d={d} p={p} op={op}")
-    return out
+def tconv_out_hw(hw, out_hw, k, s, d, p) -> tuple[int, int]:
+    """The extent out_hw of a transposed conv of an hw input, checked.
 
-
-def tconv_output_padding(name: str, hw, target, k, s, d, p) -> tuple[int, int]:
-    """Output padding that lands a transposed conv of an hw input on target.
-
-    Per axis it is target - tconv_out_size(size, k, s, d, p, 0), which
-    must lie in [0, s): a transposed conv can only resolve the rounding
-    of the strided conv it undoes. Errors name the graph node ``name``.
+    Per axis the conv it undoes maps every size in [base, base + s) onto
+    the input size, base = (size - 1)*s - 2*p + d*(k - 1) + 1, so the
+    positive ones are the extents a transposed conv can restore.
     """
-    op = tuple(t - tconv_out_size(n, kk, ss, dd, pp, 0)
-               for n, t, kk, ss, dd, pp in zip(hw, target, k, s, d, p))
-    if not all(0 <= o < ss for o, ss in zip(op, s)):
-        from .graph import GraphError  # graph imports this module
-        raise GraphError(
-            f"node {name!r}: cannot restore extent {tuple(target)} from "
-            f"{tuple(hw)} (output padding {op} outside [0, stride {tuple(s)}))")
-    return op
+    hw, out = _pair(hw), _pair(out_hw)
+    base = tuple((n - 1) * ss - 2 * pp + dd * (kk - 1) + 1
+                 for n, kk, ss, dd, pp in zip(hw, k, s, d, p))
+    if not all(max(b, 1) <= o < b + ss for b, o, ss in zip(base, out, s)):
+        top = tuple(b + ss - 1 for b, ss in zip(base, s))
+        raise EngineError(f"tconv cannot restore extent {out} from {hw}: "
+                          f"stride {tuple(s)} restores {base} to {top}")
+    return out
 
 
 def _pair(v):
@@ -329,21 +322,20 @@ def _adjoint(g: np.ndarray, w: np.ndarray, s, d, p, in_hw):
 
     At stride 1 the adjoint is a stride-1 conv of g with w flipped in both
     spatial axes and its channel axes swapped: g is gathered once over
-    the input extent padded by d*(k-1) - p (negative pads clip), and that
-    matrix, whose tap u is the conv's tap k-1-u, is returned as gathered.
-    Otherwise gathered is None: the result is w's transpose times g,
-    scattered with _col2im unless the conv is pointwise.
+    the input extent padded by d*(k-1) - p (negative pads clip; a
+    pointwise conv's gathered matrix is a view of g), and that matrix,
+    whose tap u is the conv's tap k-1-u, is returned as gathered.
+    Strided, gathered is None and the result is w's transpose times g,
+    scattered with _col2im.
     """
     n, co, ho, wo = g.shape
     _, ci, kh, kw = w.shape
-    if s == (1, 1) and not _pointwise((kh, kw), s, p):
+    if s == (1, 1):
         q = (d[0] * (kh - 1) - p[0], d[1] * (kw - 1) - p[1])
         gathered = _columns(g, (kh, kw), s, d, q, in_hw)
         w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * kh * kw)
         return np.matmul(w_flip, gathered).reshape(n, ci, *in_hw), gathered
     col = np.matmul(w.reshape(co, -1).T, g.reshape(n, co, ho * wo))
-    if _pointwise((kh, kw), s, p):
-        return col.reshape(n, ci, *in_hw), None
     return _col2im(col.reshape(n, ci, kh, kw, ho, wo), *in_hw, kh, kw, *s, *d, *p), None
 
 
@@ -405,35 +397,27 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return _result(out, parents, backward)
 
 
-def conv2d_transpose(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-                     stride=1, dilation=1, padding=0, output_padding=0) -> Tensor:
-    """Adjoint of conv2d with the same attributes.
+def conv2d_transpose(x: Tensor, weight: Tensor, out_hw, stride=1, dilation=1,
+                     padding=0) -> Tensor:
+    """Adjoint of conv2d with the same attributes, restoring extent out_hw.
 
     weight is (c_in, c_out, kh, kw), the weight of the conv from this op's
-    output grid to its input grid. output_padding resolves the output size
-    ambiguity and must be smaller than the stride. The forward is that
-    conv's _adjoint of x: one gather of x at stride 1, a _col2im scatter
-    when strided. The backward is the conv itself: the weight times the
-    output gradient's column matrix, and that matrix times x's transpose
-    is the weight gradient.
+    output grid to its input grid; out_hw is that conv's input extent,
+    checked by tconv_out_hw. The forward is that conv's _adjoint of x:
+    one gather of x at stride 1, a _col2im scatter when strided. The
+    backward is the conv itself: the weight times the output gradient's
+    column matrix, and that matrix times x's transpose is the weight
+    gradient.
     """
-    _check_conv("conv2d_transpose", x, weight, bias, transposed=True)
-    s, d, p, op = _pair(stride), _pair(dilation), _pair(padding), _pair(output_padding)
-    if op[0] >= s[0] or op[1] >= s[1]:
-        raise EngineError(f"conv2d_transpose: output_padding {op} must be < stride {s}")
+    _check_conv("conv2d_transpose", x, weight, None, transposed=True)
+    s, d, p = _pair(stride), _pair(dilation), _pair(padding)
     n, ci, h, w = x.data.shape
     wd = weight.data
-    _, co, kh, kw = wd.shape
-    ho = tconv_out_size(h, kh, s[0], d[0], p[0], op[0])
-    wo = tconv_out_size(w, kw, s[1], d[1], p[1], op[1])
-    out = _adjoint(x.data, wd, s, d, p, (ho, wo))[0]
-    if bias is not None:
-        out += bias.data
+    kh, kw = wd.shape[2:]
+    out = _adjoint(x.data, wd, s, d, p, tconv_out_hw((h, w), out_hw, (kh, kw), s, d, p))[0]
     xd = x.data if weight.requires_grad else None
 
     def backward(grad):
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1), owned=True)
         gcol = _columns(grad, (kh, kw), s, d, p, (h, w))
         if weight.requires_grad:
             dw = np.matmul(gcol, xd.reshape(n, ci, h * w).transpose(0, 2, 1)).sum(axis=0)
@@ -442,8 +426,7 @@ def conv2d_transpose(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             dx = np.matmul(wd.reshape(ci, -1), gcol)
             x._accumulate(dx.reshape(n, ci, h, w), owned=True)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _result(out, parents, backward)
+    return _result(out, (x, weight), backward)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -610,24 +593,11 @@ def avg_pool2d(x: Tensor, window=2, stride=None, dilation=1, padding=(0, 0, 0, 0
         acc[:, :, oi, oj] += x.data[:, :, ii, ij]
     acc /= wh * ww
     out = acc.astype(x.data.dtype)
-    scale = 1.0 / (wh * ww)
 
     def backward(grad):
         if x.requires_grad:
-            gcol = np.broadcast_to((grad * scale)[:, :, None, None], (n, c, wh, ww, ho, wo))
+            gcol = np.broadcast_to((grad / (wh * ww))[:, :, None, None], (n, c, wh, ww, ho, wo))
             x._accumulate(_col2im(gcol, h, w, wh, ww, sh, sw, dh, dw, pt, pl), owned=True)
-
-    return _result(out, (x,), backward)
-
-
-def global_avg_pool(x: Tensor) -> Tensor:
-    """Mean over the spatial axes, kept 4-D as (n, c, 1, 1)."""
-    n, c, h, w = x.data.shape
-    out = x.data.mean(axis=(2, 3), keepdims=True, dtype=np.float64).astype(x.data.dtype)
-
-    def backward(grad):
-        if x.requires_grad:
-            x._accumulate(np.broadcast_to(grad / (h * w), (n, c, h, w)))
 
     return _result(out, (x,), backward)
 

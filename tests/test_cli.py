@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import sunet.training
 from sunet.arch import build_classifier, toy_config
 from sunet.cli import main
 from sunet.graph import NetworkGraph
@@ -118,10 +119,20 @@ BN = "node b1 bn_relu in=input c=3 decay=0.99 eps=1e-05\n"
      "node 'b1': attribute 'eps' must be a finite number > 0, got -1"),
     ("input c=3 h=16 w=16", "node g1 grid_mask in=input keep=0 period=2\n",
      "node 'g1': attribute 'keep' must be a positive integer, got 0"),
+    ("input c=3 h=16 w=16", "node g1 grid_mask in=input keep=3 period=2\n",
+     "node 'g1': attribute 'keep' must be at most period 2, got 3"),
+    ("input c=3 h=16 w=16", CONV + CONV.replace("c1 conv in=input", "c2 conv in=c1")
+     .replace("cin=3", "cin=8").replace("\n", " level=abc\n"),
+     "node 'c2': tag 'level' must be a non-negative integer, got 'abc'"),
+    ("input c=3 h=16 w=16", CONV.replace("\n", " role=main\n"),
+     "node 'c1': tag 'role' must be 'skip', got 'main'"),
+    ("input c=3 h=16 w=16", CONV.replace("d=1x1", "dilation=2x2 d=1x1"),
+     "node 'c1': conv has no attribute 'dilation'"),
 ], ids=["node-name-only", "conv-without-cin", "input-without-w", "bare-token",
         "conv-without-input", "conv-with-two-inputs", "add-with-one-input",
         "int-kernel", "zero-stride", "zero-cout", "nan-decay", "negative-eps",
-        "zero-keep"])
+        "zero-keep", "keep-above-period", "level-not-an-int", "role-not-skip",
+        "unknown-attribute"])
 def test_malformed_graph_file_exits_1(tmp_path, capsys, input_line, node_line,
                                       message):
     body = f"sunet-graph 1\n{input_line}\n{node_line}"
@@ -130,6 +141,24 @@ def test_malformed_graph_file_exits_1(tmp_path, capsys, input_line, node_line,
     rc, _, err = run(capsys, "analyze", "--graph", str(path))
     assert rc == 1
     assert f"error: {message}" in err
+
+
+def test_tconv_with_bias_exits_1(tmp_path, capsys):
+    # builder tconvs serialize bias=0, which parses to the same digest;
+    # bias=1 names the node and the attribute
+    g = build_classifier(toy_config(8), input_hw=(64, 64))
+    text = g.serialize()
+    line = next(ln for ln in text.splitlines() if " tconv " in ln)
+    assert " bias=0 " in line
+    assert NetworkGraph.parse(text).digest == g.digest
+    path = tmp_path / "bias.graph"
+    body = text.replace(line, line.replace(" bias=0 ", " bias=1 ")).rsplit("digest ", 1)[0]
+    path.write_text(body + f"digest {hashlib.sha256(body.encode()).hexdigest()}\n")
+    rc, _, err = run(capsys, "analyze", "--graph", str(path))
+    assert rc == 1
+    name = line.split()[1]
+    assert (f"error: node {name!r}: attribute 'bias' must be 0 (a tconv has no "
+            f"bias), got 1") in err
 
 
 def test_convert_degridding_layout(tmp_path, capsys):
@@ -231,6 +260,29 @@ def test_train_crop_off_the_graph_size(pipeline, tmp_path, capsys):
                    "--seed", "2")
     assert rc == 0
     assert len((out / "loss.csv").read_text().strip().split("\n")) == 3
+
+
+def test_train_default_crop_is_the_first_image_extent(tmp_path, capsys, monkeypatch):
+    # gen-data's default canvas is 96x96, and so is each training sample
+    data, clf, seg = (str(tmp_path / name) for name in ("data", "clf.graph", "seg.graph"))
+    assert main(["gen-data", "--out", data, "--count", "2"]) == 0
+    assert main(["build", "--toy", "8", "--input-hw", "64", "--out", clf]) == 0
+    assert main(["convert", "--graph", clf, "--classes", "4", "--output-stride", "32",
+                 "--out", seg]) == 0
+    shapes = []
+
+    def spy(img, mask, *args):
+        img, mask = augment_sample(img, mask, *args)
+        shapes.append((img.shape, mask.shape))
+        return img, mask
+
+    augment_sample = sunet.training.augment_sample
+    monkeypatch.setattr(sunet.training, "augment_sample", spy)
+    rc, _, _ = run(capsys, "train", "--graph", seg, "--data",
+                   os.path.join(data, "manifest.json"), "--out", str(tmp_path / "run"),
+                   "--iters", "1", "--batch-size", "2")
+    assert rc == 0
+    assert shapes == [((3, 96, 96), (96, 96))] * 2
 
 
 def test_eval_prints_miou(pipeline, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -75,6 +76,34 @@ def test_tag_validation():
         g.tag("missing", level=1)
 
 
+@pytest.mark.parametrize("tags,message", [
+    ({"level": "abc"}, "tag 'level' must be a non-negative integer, got 'abc'"),
+    ({"level": -1}, "tag 'level' must be a non-negative integer, got -1"),
+    ({"level": True}, "tag 'level' must be a non-negative integer, got True"),
+    ({"stage": 3}, "tag 'stage' must be a name, got 3"),
+    ({"stage": "a b"}, "tag 'stage' must be a name, got 'a b'"),
+    ({"role": "main"}, "tag 'role' must be 'skip', got 'main'"),
+])
+def test_tag_forms_are_checked_in_add_and_tag(tags, message):
+    g = small_graph()
+    with pytest.raises(GraphError, match=f"node 'b1': {re.escape(message)}"):
+        g.tag("b1", **tags)
+    assert g.by_name["b1"].tags == {}
+    with pytest.raises(GraphError, match=f"node 'b2': {re.escape(message)}"):
+        g.add("b2", "bn_relu", ["b1"], c=8, decay=0.99, eps=1e-5, **tags)
+    assert "b2" not in g.by_name
+
+
+def test_tconv_carries_no_bias():
+    g = small_graph()
+    up = dict(cin=8, cout=3, k=(3, 3), s=(2, 2), d=(1, 1), p=(1, 1))
+    g.add("up0", "tconv", ["b1", "input"], bias=False, **up)
+    g.add("up1", "tconv", ["b1", "input"], **up)
+    with pytest.raises(GraphError, match="node 'up2': attribute 'bias' must be 0"):
+        g.add("up2", "tconv", ["b1", "input"], bias=True, **up)
+    assert set(Network(g).params) == {"c1.w", "b1.gamma", "b1.beta", "up0.w", "up1.w"}
+
+
 def test_meta_survives_round_trip():
     g = small_graph()
     g.meta["config"] = '{"name":"toy8","blocks":[1,1]}'
@@ -104,6 +133,28 @@ def test_tconv_restores_the_extent_of_its_second_input():
     g.add("bad", "tconv", ["b1", "b1"], **up)
     with pytest.raises(GraphError, match="'bad'"):
         g.infer_shapes()
+
+
+def test_gap_runs_avg_pool2d_and_is_the_float64_mean(monkeypatch):
+    g = NetworkGraph(3, (7, 7))
+    g.add("gap", "gap", ["input"])
+    windows = []
+
+    def spy(x, window=2, **kw):
+        windows.append(window)
+        return avg_pool2d(x, window=window, **kw)
+
+    avg_pool2d = T.avg_pool2d
+    monkeypatch.setattr(T, "avg_pool2d", spy)
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.normal(size=(2, 3, 7, 7)).astype(np.float32), requires_grad=True)
+    out = Network(g).forward(x, training=True)
+    assert windows == [(7, 7)]
+    want = x.data.mean(axis=(2, 3), keepdims=True, dtype=np.float64).astype(np.float32)
+    assert out.data.dtype == np.float32 and out.data.tobytes() == want.tobytes()
+    seed = rng.normal(size=out.data.shape).astype(np.float32)
+    out.backward(seed)
+    assert x.grad.tobytes() == np.broadcast_to(seed / 49, x.data.shape).tobytes()
 
 
 # ------------------------------------------------------ execution lifetimes

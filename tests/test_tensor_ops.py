@@ -43,6 +43,11 @@ def test_conv_out_size(size, k, s, d, p, want):
     assert want == len(range(0, padded - span + 1, s))
 
 
+def _tconv_base(size, k, s, d, p):
+    """The smallest extent a transposed conv of a size-wide input restores."""
+    return (size - 1) * s - 2 * p + d * (k - 1) + 1
+
+
 @pytest.mark.parametrize("size,k,s,d,p,op,want", [
     (4, 3, 2, 1, 1, 1, 8),
     (4, 3, 2, 1, 1, 0, 7),
@@ -50,7 +55,24 @@ def test_conv_out_size(size, k, s, d, p, want):
     (7, 3, 2, 2, 2, 1, 14),
 ])
 def test_tconv_out_size(size, k, s, d, p, op, want):
-    assert T.tconv_out_size(size, k, s, d, p, op) == want
+    # tconv_out_hw accepts exactly [base, base + s): the extents the
+    # strided conv it undoes maps onto size
+    assert _tconv_base(size, k, s, d, p) + op == want
+    pairs = [(k, k), (s, s), (d, d), (p, p)]
+    assert T.tconv_out_hw((size, size), (want, want), *pairs) == (want, want)
+    accepted = [t for t in range(1, want + 2 * s)
+                if _accepts(T.tconv_out_hw, (size, size), (t, want), *pairs)]
+    assert accepted == list(range(want - op, want - op + s))
+    # and each one is an extent the conv maps back onto size
+    assert all(T.conv_out_size(t, k, s, d, p) == size for t in accepted)
+
+
+def _accepts(fn, *args):
+    try:
+        fn(*args)
+    except EngineError:
+        return False
+    return True
 
 
 @pytest.mark.parametrize("s,d,p", [(1, 1, 0), (2, 1, 1), (1, 2, 2), (2, 2, 1)])
@@ -63,19 +85,22 @@ def test_tconv_is_adjoint_of_conv(s, d, p):
     fwd = T.conv2d(x, w, stride=s, dilation=d, padding=p)
     y = rng.normal(size=fwd.data.shape)
     lhs = float((fwd.data * y).sum())
-    back = T.conv2d_transpose(t64(y, grad=False), w, stride=s, dilation=d,
-                              padding=p, output_padding=0)
-    # with output_padding 0 the adjoint may drop trailing always-zero rows
-    hh, ww = back.data.shape[2:]
-    rhs = float((back.data * x.data[:, :, :hh, :ww]).sum())
+    # the transposed conv restores x's extent
+    back = T.conv2d_transpose(t64(y, grad=False), w, (9, 9), stride=s, dilation=d,
+                              padding=p)
+    rhs = float((back.data * x.data).sum())
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
 
-def test_tconv_output_padding_must_stay_below_stride():
+def test_tconv_out_hw_must_lie_in_base_to_base_plus_stride():
+    # a 4x4 input at stride 2, padding 1 restores 7 or 8 per axis
     x = Tensor(np.zeros((1, 2, 4, 4), dtype=np.float32))
     w = Tensor(np.zeros((2, 2, 3, 3), dtype=np.float32))
-    with pytest.raises(EngineError):
-        T.conv2d_transpose(x, w, stride=2, padding=1, output_padding=2)
+    assert T.conv2d_transpose(x, w, (7, 8), stride=2, padding=1).data.shape == (1, 2, 7, 8)
+    for out_hw in [(6, 7), (7, 9), (9, 8)]:
+        with pytest.raises(EngineError, match=rf"extent \({out_hw[0]}, {out_hw[1]}\) "
+                                              r"from \(4, 4\)"):
+            T.conv2d_transpose(x, w, out_hw, stride=2, padding=1)
 
 
 def test_conv_channel_mismatch_raises():
@@ -121,7 +146,7 @@ def test_batchnorm_eval_uses_running_stats():
 
 def test_global_avg_pool_mean():
     x = Tensor(np.arange(1.0, 50.0).reshape(1, 1, 7, 7))
-    assert T.global_avg_pool(x).data.reshape(()) == 25.0
+    assert T.avg_pool2d(x, window=(7, 7)).data.reshape(()) == 25.0
 
 
 def test_avg_pool_padded_zeros_count_in_divisor():
@@ -238,8 +263,9 @@ def test_released_tensor_raises_on_read_but_carries_its_gradient():
         hidden.append(T.batchnorm(hidden[-1], t64(np.ones((1, 2, 1, 1))),
                                   t64(np.zeros((1, 2, 1, 1))), np.zeros((1, 2, 1, 1)),
                                   np.ones((1, 2, 1, 1)), training=True))
-        hidden.append(T.conv2d_transpose(hidden[-1], t64(wv), stride=2, padding=1))
-        hidden.append(T.global_avg_pool(hidden[-1]))
+        hidden.append(T.conv2d_transpose(hidden[-1], t64(wv), (11, 11), stride=2,
+                                         padding=1))
+        hidden.append(T.avg_pool2d(hidden[-1], window=(11, 11)))
         out = T.conv2d(hidden[-1], t64(lv))
         if release:
             for t in hidden:
@@ -263,8 +289,8 @@ def test_gradients_never_share_memory():
     w, bias = t64(rng.normal(size=(3, 2, 1, 1))), t64(rng.normal(size=(1, 3, 1, 1)))
     v = T.add(T.add(T.add(a, b), T.bilinear_upsample(e, (3, 3))),
               T.concat_channels([c, d]))
-    pooled = T.add(T.global_avg_pool(v),
-                   T.add(T.global_avg_pool(f), T.global_avg_pool(f)))
+    pooled = T.add(T.avg_pool2d(v, window=3),
+                   T.add(T.avg_pool2d(f, window=3), T.avg_pool2d(f, window=3)))
     out = T.conv2d(pooled, w, bias)
     out.backward(np.ones_like(out.data))
 
@@ -324,7 +350,7 @@ def test_gradcheck_tconv(seed):
     x = _rand(rng, 1, 3, 4, 4)
     w = _rand(rng, 3, 2, 3, 3)
     err = T.gradcheck(
-        lambda a, b: T.conv2d_transpose(a, b, stride=2, padding=1, output_padding=1),
+        lambda a, b: T.conv2d_transpose(a, b, (8, 8), stride=2, padding=1),
         [x, w])
     assert err < GRADCHECK_TOL
 
@@ -454,10 +480,10 @@ def test_conv_matches_nested_loop_oracle(k, s, d, p):
 
 
 def _tconv_grid(narrow=5):
-    # every output_padding below the stride, where the output does not collapse
+    # every extent base + op, op below the stride, that does not collapse
     for k, s, d, p in _conv_grid():
         for op in range(s):
-            if (narrow - 1) * s - 2 * p + d * (k - 1) + 1 + op >= 1:
+            if _tconv_base(narrow, k, s, d, p) + op >= 1:
                 yield k, s, d, p, op
 
 
@@ -478,7 +504,8 @@ def test_tconv_matches_nested_loop_oracle(k, s, d, p, op):
                                 + 1000 * (kh != kw) * kw)
     x = t64(rng.normal(size=(2, 3, 7, 5)))
     w = t64(rng.normal(size=(3, 4, kh, kw)))
-    out = T.conv2d_transpose(x, w, stride=s, dilation=d, padding=p, output_padding=op)
+    out_hw = (_tconv_base(7, kh, s, d, p) + op, _tconv_base(5, kw, s, d, p) + op)
+    out = T.conv2d_transpose(x, w, out_hw, stride=s, dilation=d, padding=p)
     g, (dx, dw) = _engine_grads(out, rng, x, w)
     want, want_dx, want_dw = naive_tconv(x.data, w.data, s, d, p, op, g)
     _close(out.data, want)
@@ -518,7 +545,7 @@ def test_gradcheck_dilated_stride1_tconv():
     x = _rand(rng, 1, 3, 5, 6)
     w = _rand(rng, 3, 2, 3, 3)
     err = T.gradcheck(
-        lambda a, b: T.conv2d_transpose(a, b, stride=1, dilation=2, padding=2), [x, w])
+        lambda a, b: T.conv2d_transpose(a, b, (5, 6), stride=1, dilation=2, padding=2), [x, w])
     assert err < GRADCHECK_TOL
 
 
@@ -673,8 +700,9 @@ def test_tconv_forward_gathers_at_stride1_and_scatters_when_strided(monkeypatch,
     rng = np.random.default_rng(490 + stride)
     x = t64(rng.normal(size=(2, 4, 5, 6)))
     w = t64(rng.normal(size=(4, 3, 3, 3)))
-    out = T.conv2d_transpose(x, w, stride=stride, dilation=2, padding=2,
-                             output_padding=stride - 1)
+    out_hw = (_tconv_base(5, 3, stride, 2, 2) + stride - 1,
+              _tconv_base(6, 3, stride, 2, 2) + stride - 1)
+    out = T.conv2d_transpose(x, w, out_hw, stride=stride, dilation=2, padding=2)
     if stride == 1:
         assert calls == [("_im2col", x.data.shape)]
     else:
