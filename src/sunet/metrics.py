@@ -90,11 +90,27 @@ def miou(cm: ConfusionMatrix) -> dict:
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
-    """Per-position class probabilities of a (k, h, w) logit map."""
+    """Per-position class probabilities of a (k, h, w) logit map, as a
+    new float64 array (computed in place in that array)."""
     z = logits.astype(np.float64)
-    z = z - z.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=0, keepdims=True)
+    z -= z.max(axis=0, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=0, keepdims=True)
+    return z
+
+
+def _variant_probs(net, image: np.ndarray, s: float, mirrored: bool) -> np.ndarray:
+    """The (num_classes, h, w) probabilities of one scaled, maybe mirrored
+    forward, resized back to the image's extent and un-mirrored. The
+    forward's output and the unresized map go when this returns."""
+    _, h, w = image.shape
+    x = image[:, :, ::-1] if mirrored else image
+    hw = (max(1, int(round(h * s))), max(1, int(round(w * s))))
+    x = resize_bilinear(np.ascontiguousarray(x), hw)
+    with no_grad():
+        out = net.forward(x[None], training=False)
+    probs = resize_bilinear(softmax_probs(out.data[0]), (h, w))
+    return probs[:, :, ::-1] if mirrored else probs
 
 
 def multi_scale_inference(net, image: np.ndarray, scales=(1.0,),
@@ -104,8 +120,13 @@ def multi_scale_inference(net, image: np.ndarray, scales=(1.0,),
     image is a normalized float32 (c, h, w) array. Each copy is resized
     bilinearly, forwarded through ``net`` itself in eval mode (graphs run
     at any input size), softmaxed, resized back to the original extent,
-    un-mirrored if needed, and averaged in probability space. Returns a
-    (num_classes, h, w) float64 map.
+    un-mirrored if needed, and averaged in probability space: the
+    unmirrored copies are summed first, in scale order, then the
+    mirrored ones. Returns a (num_classes, h, w) float64 map.
+
+    Between forwards only the running sum is alive: each copy's
+    network output and probability maps go before the next forward
+    starts, and the sum and the final mean are formed in place.
     """
     if len(scales) == 0:
         raise EvalError("need at least one scale")
@@ -113,25 +134,15 @@ def multi_scale_inference(net, image: np.ndarray, scales=(1.0,),
         if not 0 < s < math.inf:  # NaN fails too
             raise EvalError(f"scale {s} is not finite and positive "
                             f"(scales {tuple(scales)})")
-    c, h, w = image.shape
-    total = None
-    count = 0
     variants = [(float(s), False) for s in scales]
     if flip:
         variants += [(float(s), True) for s in scales]
-    for s, mirrored in variants:
-        x = image[:, :, ::-1] if mirrored else image
-        hw = (max(1, int(round(h * s))), max(1, int(round(w * s))))
-        x = resize_bilinear(np.ascontiguousarray(x), hw)
-        with no_grad():
-            out = net.forward(x[None], training=False)
-        probs = softmax_probs(out.data[0])
-        probs = resize_bilinear(probs, (h, w))
-        if mirrored:
-            probs = probs[:, :, ::-1]
-        total = probs if total is None else total + probs
-        count += 1
-    return total / count
+    # the first variant is unmirrored, so total owns a contiguous array
+    total = _variant_probs(net, image, *variants[0])
+    for s, mirrored in variants[1:]:
+        total += _variant_probs(net, image, s, mirrored)
+    total /= len(variants)
+    return total
 
 
 def predict_labels(net, image: np.ndarray, scales=(1.0,),

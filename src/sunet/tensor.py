@@ -32,7 +32,9 @@ runs, and never reads a parent's values later:
 - batchnorm keeps its centred copy in training mode, x in eval mode,
   and with relu=True also its own output, whose sign is the ReLU mask;
 - relu keeps a boolean mask of its positive outputs;
-- phase_mask keeps its 0/1 mask, softmax_cross_entropy its exponentials;
+- phase_mask keeps its 0/1 mask;
+- softmax_cross_entropy keeps its exponentials, which its backward
+  turns in place into the logits' gradient;
 - add, concat_channels, the pools and bilinear_upsample keep no
   activation.
 Kept arrays are shared, not copied: the output a fused batchnorm keeps
@@ -40,7 +42,8 @@ is the input the next conv keeps. So no op writes into its inputs or
 into an array it has returned. A closure owns the gradient it is handed
 (backward() gives each node a private array) and may overwrite it, or
 hand it on to one parent; it writes into no other array it keeps
-except a copy of its own, such as batchnorm's centred copy.
+except a copy of its own, such as batchnorm's centred copy or the
+loss's exponentials.
 
 So a tensor whose values are released (Tensor.release) still carries
 its gradient through the tape. The tape is consumed once: backward()
@@ -675,9 +678,16 @@ def phase_mask(x: Tensor, period, keep) -> Tensor:
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int = 255) -> Tensor:
     """Mean per-pixel cross entropy over positions not labeled ignore_index.
 
-    logits is (n, k, h, w); labels is an (n, h, w) integer array. Returns a
-    (1, 1, 1, 1) tensor. A batch with every position ignored yields zero
-    loss and zero gradient.
+    logits is (n, k, h, w); labels is an (n, h, w) array of any integer
+    dtype, used as it is. Returns a (1, 1, 1, 1) tensor. A batch with
+    every position ignored yields zero loss and zero gradient.
+
+    The tape keeps the exponentials ez of the shifted logits (one array
+    of the logits' shape and dtype), their float64 per-pixel sums, the
+    valid mask and the labels with ignored positions set to 0. A tape
+    runs its backward at most once, so the backward consumes ez: it
+    turns it in place into softmax - onehot, scaled by valid/count and
+    by the seed, and hands it to the logits as their gradient.
     """
     labels = np.asarray(labels)
     n, k, h, w = logits.data.shape
@@ -694,23 +704,25 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int 
     # and the gradient, and the count only has to stay nonzero
     count = max(int(valid.sum()), 1)
     dt = logits.data.dtype
-    zmax = logits.data.max(axis=1, keepdims=True)
-    shifted = logits.data - zmax
-    ez = np.exp(shifted)
+    safe = np.where(valid, labels, 0)[:, None]
+    ez = logits.data - logits.data.max(axis=1, keepdims=True)
+    picked = np.take_along_axis(ez, safe, axis=1)[:, 0]
+    np.exp(ez, out=ez)
     denom = ez.sum(axis=1, keepdims=True, dtype=np.float64)
-    safe = np.where(valid, labels, 0)
-    picked = np.take_along_axis(shifted, safe[:, None], axis=1)[:, 0]
-    perpix = np.log(denom[:, 0]) - picked
+    perpix = np.log(denom[:, 0])
+    perpix -= picked
     loss = float(perpix.sum(dtype=np.float64, where=valid) / count)
     out = np.full((1, 1, 1, 1), loss, dtype=dt)
 
     def backward(grad):
-        if logits.requires_grad:
-            probs = (ez / denom).astype(dt)
-            onehot_rows = np.arange(k).reshape(1, k, 1, 1)
-            probs -= (onehot_rows == safe[:, None]).astype(dt)
-            probs *= (valid[:, None] / count).astype(dt)
-            logits._accumulate(probs * grad.reshape(1, 1, 1, 1).astype(dt), owned=True)
+        # a float64 loop with a dt result, rounded as (ez/denom).astype(dt)
+        np.divide(ez, denom, out=ez)
+        # the ignored positions subtract at class 0 too; valid zeroes them
+        np.put_along_axis(ez, safe, np.take_along_axis(ez, safe, axis=1) - 1, axis=1)
+        # (valid/count).astype(dt) without its float64 temporary
+        np.multiply(ez, np.where(valid[:, None], dt.type(1 / count), dt.type(0)), out=ez)
+        np.multiply(ez, grad.reshape(1, 1, 1, 1).astype(dt), out=ez)
+        logits._accumulate(ez, owned=True)
 
     return _result(out, (logits,), backward)
 

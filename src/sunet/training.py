@@ -103,6 +103,23 @@ def _next_batch(order_rng, pending: list, n: int, batch: int) -> list[int]:
     return idx
 
 
+def _batch(dataset, idx: list[int], cfg: TrainConfig, first_draw: int):
+    """The stacked (images, masks) of the dataset entries idx, the k-th
+    augmented with draw first_draw + k when cfg.augment is set. The
+    per-sample arrays go with this call; masks keep their dtype."""
+    imgs, masks = [], []
+    for k, j in enumerate(idx):
+        img = normalize_image(dataset.images[j])
+        mask = dataset.masks[j]
+        if cfg.augment is not None:
+            img, mask = augment_sample(img, mask, cfg.augment,
+                                       sample_rng(cfg.seed, first_draw + k),
+                                       dataset.ignore_index)
+        imgs.append(img)
+        masks.append(mask)
+    return np.stack(imgs), np.stack(masks)
+
+
 def train(net: Network, dataset, cfg: TrainConfig, out_dir=None) -> dict:
     """Run the loop; returns {"rows": [(iter, lr, loss)], "checkpoint": path}.
 
@@ -112,6 +129,16 @@ def train(net: Network, dataset, cfg: TrainConfig, out_dir=None) -> dict:
     writes loss.csv, periodic ckpt_NNNNNN.sunc when checkpoint_every > 0,
     and a final checkpoint.sunc (which for a 0-iteration run is just the
     initialization).
+
+    A step keeps alive only what a later op reads. Between steps that is
+    the parameters, their velocity and the BN statistics. Within a step
+    it is also the stacked batch (float32 images, and the masks in their
+    own integer dtype, uint8 for a Dataset, which the loss reads as they
+    are), the tape while backward consumes it, and the gradients until
+    the optimizer step. The per-sample arrays go once stacked, the
+    logits' values once the loss is computed (the loss keeps its own
+    exponentials), and the rest of the step once backward has run, so
+    nothing of one step is alive during the next step's forward.
     """
     if len(dataset) == 0:
         raise TrainError("empty dataset")
@@ -124,7 +151,6 @@ def train(net: Network, dataset, cfg: TrainConfig, out_dir=None) -> dict:
                     f"dataset entry {i}: image {img.shape[1:]} differs from "
                     f"entry 0's {size}; training without augmentation needs "
                     f"one image size")
-    ignore = dataset.ignore_index
     opt = SGD(net.params, cfg.optimizer, decay_names=net.decay_param_names())
     rows = []
     if out_dir is not None:
@@ -136,27 +162,21 @@ def train(net: Network, dataset, cfg: TrainConfig, out_dir=None) -> dict:
         pending: list[int] = []
         n = len(dataset)
         bsz = cfg.optimizer.batch_size
-        draw = 0
         for it in range(cfg.iters):
-            imgs, masks = [], []
-            for j in _next_batch(order_rng, pending, n, bsz):
-                img = normalize_image(dataset.images[j])
-                mask = dataset.masks[j]
-                if cfg.augment is not None:
-                    img, mask = augment_sample(img, mask, cfg.augment,
-                                               sample_rng(cfg.seed, draw), ignore)
-                    draw += 1
-                imgs.append(img)
-                masks.append(mask)
-            x = np.stack(imgs)
-            labels = np.stack(masks).astype(np.int64)
+            x, labels = _batch(dataset, _next_batch(order_rng, pending, n, bsz),
+                               cfg, it * bsz)
             out = net.forward(x, training=not cfg.bn_eval)
-            loss = softmax_cross_entropy(out, labels, ignore)
+            loss = softmax_cross_entropy(out, labels, dataset.ignore_index)
+            # the loss keeps its own exponentials: no later op reads the
+            # logits' values
+            out.release()
             lval = float(loss.data.reshape(()))
             if not math.isfinite(lval):
                 raise TrainError(f"non-finite loss {lval} at iteration {it}")
             lr = sched.lr_at(cfg.optimizer.lr0, it)
             loss.backward()
+            # nothing of this step is read past its backward
+            del x, labels, out, loss
             opt.step(lr)
             net.zero_grads()
             rows.append((it, lr, lval))

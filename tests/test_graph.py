@@ -6,6 +6,7 @@ import pytest
 
 from sunet import tensor as T
 from sunet.arch import build_classifier, toy_config
+from sunet.data import normalize_image
 from sunet.graph import GraphError, NetworkGraph
 from sunet.optim import OptimizerConfig
 from sunet.runtime import Network
@@ -280,6 +281,68 @@ COLUMN_MATRIX_STEP_PEAK = 14_452_317
 def test_training_step_peak_without_column_matrices():
     peak = training_step_peak()
     assert peak <= 0.6 * COLUMN_MATRIX_STEP_PEAK, peak
+
+
+# Traced peak of one loss forward+backward at (8, 4, 96, 96), in units of
+# the logits' bytes: 5.06x when the tape kept the shifted logits beside
+# their exponentials and the backward built float64 probabilities, a
+# float32 copy, a one-hot array and the seeded product. Turning the kept
+# exponentials into the gradient in place reads 2.93x.
+LOSS_PEAK_LOGITS = 3.3
+
+
+def test_loss_forward_backward_peak_is_a_small_multiple_of_the_logits():
+    rng = np.random.default_rng(0)
+    logits = Tensor(rng.normal(size=(8, 4, 96, 96)).astype(np.float32),
+                    requires_grad=True)
+    labels = rng.integers(0, 4, size=(8, 96, 96))
+    labels[:, :4] = 255
+
+    def step():
+        softmax_cross_entropy(logits, labels).backward()
+
+    step()
+    logits.zero_grad()
+    peak = traced_peak(step)
+    assert peak <= LOSS_PEAK_LOGITS * logits.data.nbytes, peak / logits.data.nbytes
+
+
+class ListDataset:
+    def __init__(self, images, masks):
+        self.images, self.masks, self.ignore_index = images, masks, 255
+
+    def __len__(self):
+        return len(self.images)
+
+
+def test_train_peaks_like_one_bare_step():
+    """A 2-iteration train() on one batch peaks no higher than a bare
+    forward/loss/backward step on that batch, plus what only train()
+    holds: the batch it stacks itself, the optimizer's velocity (one
+    array per parameter) and 128 KiB of bookkeeping. It read 1,041,544
+    bytes above the bare step, 101,448 under the margin; keeping the
+    last step's logits into the next forward and widening the masks to
+    int64 read 1,521,200, 378,208 over it."""
+    rng = np.random.default_rng(0)
+    images = [rng.integers(0, 256, size=(3, 96, 96), dtype=np.uint8) for _ in range(2)]
+    masks = [rng.integers(0, 4, size=(96, 96), dtype=np.uint8) for _ in range(2)]
+    x = np.stack([normalize_image(img) for img in images])
+    labels = np.stack(masks)
+    net = converted_net()
+
+    def step():
+        softmax_cross_entropy(net.forward(x, training=True), labels).backward()
+        net.zero_grads()
+
+    step()      # fills the resize-matrix and tap-plan caches
+    bare = traced_peak(step)
+    net = converted_net()
+    cfg = TrainConfig(iters=2, optimizer=OptimizerConfig(
+        lr0=0.01, momentum=0.9, weight_decay=1e-4, batch_size=2))
+    trained = traced_peak(lambda: train(net, ListDataset(images, masks), cfg))
+    velocity = sum(p.data.nbytes for p in net.params.values())
+    margin = x.nbytes + labels.nbytes + velocity + 128 * 1024
+    assert trained <= bare + margin, (trained - bare, margin)
 
 
 # ----------------------------------------------------- BN-ReLU at run time

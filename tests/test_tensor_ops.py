@@ -198,6 +198,50 @@ def test_softmax_cross_entropy_matches_per_pixel_oracle():
     assert abs(float(loss.data.reshape(())) - total / count) < 1e-12
 
 
+def test_softmax_cross_entropy_gradient_matches_per_pixel_closed_form():
+    # d loss / d z[n, :, i, j] = (softmax(z[n, :, i, j]) - onehot) * seed / count
+    # at a valid pixel and 0 at an ignored one, here with a non-unit seed
+    rng = np.random.default_rng(10)
+    z = 3.0 * rng.normal(size=(2, 5, 4, 3))
+    labels = rng.integers(0, 5, size=(2, 4, 3))
+    labels[0, 1, :] = 255
+    labels[1, 3, 2] = 255
+    seed = -2.75
+    logits = t64(z)
+    T.softmax_cross_entropy(logits, labels).backward(np.full((1, 1, 1, 1), seed))
+    count = int((labels != 255).sum())
+    want = np.zeros_like(z)
+    for n in range(2):
+        for i in range(4):
+            for j in range(3):
+                lab = labels[n, i, j]
+                if lab == 255:
+                    continue
+                e = np.exp(z[n, :, i, j] - z[n, :, i, j].max())
+                g = e / e.sum()
+                g[lab] -= 1.0
+                want[n, :, i, j] = g * seed / count
+    assert np.all(logits.grad[0, :, 1, :] == 0.0)
+    assert np.max(np.abs(logits.grad - want)) < 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_cross_entropy_uint8_and_int64_labels_are_bit_identical(dtype):
+    rng = np.random.default_rng(11)
+    z = rng.normal(size=(2, 4, 6, 5)).astype(dtype)
+    labels = rng.integers(0, 4, size=(2, 6, 5))
+    labels[rng.random(labels.shape) < 0.25] = 255
+    results = []
+    for ldt in (np.uint8, np.int64):
+        logits = Tensor(z.copy(), requires_grad=True)
+        loss = T.softmax_cross_entropy(logits, labels.astype(ldt))
+        loss.backward(np.full((1, 1, 1, 1), 1.5, dtype=dtype))
+        results.append((loss.data, logits.grad))
+    (l8, g8), (l64, g64) = results
+    assert l8.tobytes() == l64.tobytes()
+    assert g8.dtype == dtype and g8.tobytes() == g64.tobytes()
+
+
 def test_softmax_cross_entropy_all_ignored_gives_zero_loss_and_gradient():
     rng = np.random.default_rng(4)
     logits = Tensor(rng.normal(size=(2, 3, 4, 5)).astype(np.float32),
