@@ -84,9 +84,13 @@ def _window(window, hw, what: str) -> tuple[int, int, int, int]:
 
 def _two_tap(a, i0, i1, w0, w1, axis: int) -> np.ndarray:
     """``w0·a[i0] + w1·a[i1]`` along one axis, in float64 (float32 input
-    widens exactly inside the products)."""
-    out = np.take(a, i0, axis=axis) * w0
-    out += np.take(a, i1, axis=axis) * w1
+    widens exactly inside the products). Each tap is scaled in place, so
+    a float64 input makes two arrays of the result's size."""
+    out = np.take(a, i0, axis=axis).astype(np.float64, copy=False)
+    out *= w0
+    tap = np.take(a, i1, axis=axis).astype(np.float64, copy=False)
+    tap *= w1
+    out += tap
     return out
 
 

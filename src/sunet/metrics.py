@@ -102,14 +102,17 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
 def _variant_probs(net, image: np.ndarray, s: float, mirrored: bool) -> np.ndarray:
     """The (num_classes, h, w) probabilities of one scaled, maybe mirrored
     forward, resized back to the image's extent and un-mirrored. The
-    forward's output and the unresized map go when this returns."""
+    scaled input and the forward's output go before the resize, so only
+    the unresized map is alive through it, and it goes when this
+    returns."""
     _, h, w = image.shape
     x = image[:, :, ::-1] if mirrored else image
     hw = (max(1, int(round(h * s))), max(1, int(round(w * s))))
     x = resize_bilinear(np.ascontiguousarray(x), hw)
     with no_grad():
-        out = net.forward(x[None], training=False)
-    probs = resize_bilinear(softmax_probs(out.data[0]), (h, w))
+        probs = softmax_probs(net.forward(x[None], training=False).data[0])
+    del x
+    probs = resize_bilinear(probs, (h, w))
     return probs[:, :, ::-1] if mirrored else probs
 
 

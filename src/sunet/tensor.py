@@ -14,7 +14,10 @@ pointwise conv (1x1, stride 1, no padding), such as a fully-connected
 layer on a 1x1 map, reads its input as its column matrix. Other convs
 gather patches with _im2col and scatter them back with _col2im, both
 clipping each kernel tap to the unpadded input, so no padded copy is
-built; the per-tap slices (the tap plan) are cached per shape. A conv's
+built; the per-tap slices (the tap plan) are cached per shape. conv2d's
+forward builds its column matrix at most COLUMN_BUDGET bytes at a time,
+in groups of whole samples or in bands of output rows of one sample
+(at least one row); the backward's matrices are built whole. A conv's
 adjoint is one gather with the flipped kernel at stride 1 (a view of
 the gradient on the pointwise path), and a matmul and a _col2im scatter
 when strided. So conv2d's input gradient and conv2d_transpose's forward
@@ -319,6 +322,50 @@ def _columns(a: np.ndarray, k, s, d, p, out_hw) -> np.ndarray:
     return _im2col(a, *k, *s, *d, *p, *out_hw).reshape(n, c * k[0] * k[1], -1)
 
 
+# bytes of a conv forward's column matrix built at once: above it conv2d
+# builds the matrix in chunks of whole samples, or of output rows
+COLUMN_BUDGET = 1 << 20
+
+
+def _conv_forward(x: np.ndarray, w2: np.ndarray, k, s, d, p, out_hw) -> np.ndarray:
+    """The (n, co, ho*wo) product of the (co, c*kh*kw) weight matrix w2
+    with x's column matrix, built COLUMN_BUDGET bytes at a time.
+
+    A pointwise conv multiplies a view of x. Otherwise, when one sample's
+    matrix fits the budget, each chunk is a group of whole samples (the
+    whole batch, when it fits): every GEMM is then the per-sample one the
+    unchunked matmul runs. When it does not, each chunk is a band of at
+    least one output row of one sample, gathered from only the input rows
+    the band reads, with the top pad clipped. Each chunk's matmul writes
+    into the output, and the chunk is freed before the next is built.
+    """
+    if _pointwise(k, s, p):
+        return np.matmul(w2, _columns(x, k, s, d, p, out_hw))
+    n, c, h, w = x.shape
+    co = w2.shape[0]
+    (kh, kw), (sh, sw), (dh, dw), (pt, pl), (ho, wo) = k, s, d, p, out_hw
+    out = np.empty((n, co, ho * wo), dtype=x.dtype)
+    row = c * kh * kw * wo * x.itemsize     # bytes of one output row's columns
+    if row * ho <= COLUMN_BUDGET:
+        step = COLUMN_BUDGET // (row * ho)
+        for i in range(0, n, step):
+            m = min(n, i + step) - i
+            np.matmul(w2, _im2col(x[i:i + m], kh, kw, sh, sw, dh, dw, pt, pl, ho, wo)
+                      .reshape(m, -1, ho * wo), out=out[i:i + m])
+        return out
+    rows = max(1, COLUMN_BUDGET // row)
+    for i in range(n):
+        for r0 in range(0, ho, rows):
+            r1 = min(ho, r0 + rows)
+            top = r0 * sh - pt                  # the band's first tap row
+            lo = max(top, 0)
+            hi = max(lo, min(h, (r1 - 1) * sh - pt + (kh - 1) * dh + 1))
+            np.matmul(w2, _im2col(x[i:i + 1, :, lo:hi], kh, kw, sh, sw, dh, dw,
+                                  lo - top, pl, r1 - r0, wo).reshape(1, -1, (r1 - r0) * wo),
+                      out=out[i:i + 1, :, r0 * wo:r1 * wo])
+    return out
+
+
 def _adjoint(g: np.ndarray, w: np.ndarray, s, d, p, in_hw):
     """Map g from the output grid of the conv with weight w (co, ci, kh, kw)
     back to its (n, ci, h, w) input grid; returns (result, gathered).
@@ -360,8 +407,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride=1, dilation=1, padding=0) -> Tensor:
     """2-D convolution (cross-correlation) with stride and dilation.
 
-    The forward is one batched matmul of the weight with x's column
-    matrix, freed when the forward returns: when the weight needs a
+    The forward is a batched matmul of the weight with x's column
+    matrix, built in chunks of at most COLUMN_BUDGET bytes by
+    _conv_forward, each freed before the next: when the weight needs a
     gradient the tape keeps x's array instead. The input gradient is the
     conv's _adjoint of the output gradient g. The weight gradient is g's
     gathered matrix times x's transpose, taps flipped back, at stride 1;
@@ -375,7 +423,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     co, _, kh, kw = wd.shape
     ho = conv_out_size(h, kh, s[0], d[0], p[0])
     wo = conv_out_size(w, kw, s[1], d[1], p[1])
-    out = np.matmul(wd.reshape(co, -1), _columns(x.data, (kh, kw), s, d, p, (ho, wo)))
+    out = _conv_forward(x.data, wd.reshape(co, -1), (kh, kw), s, d, p, (ho, wo))
     out = out.reshape(n, co, ho, wo)
     if bias is not None:
         out += bias.data

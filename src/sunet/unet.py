@@ -23,8 +23,9 @@ and stays there, steps one level down (encoder) or one back up
   the surviving subgrid, whatever the BN state.
 
 No builder needs the input size: each transposed conv names the node
-whose extent it restores and derives its output padding from the two
-extents at run time, so a module built once runs at every input size.
+whose extent it restores and takes that extent at run time (the op
+checks it with tconv_out_hw), so a module built once runs at every
+input size.
 """
 from __future__ import annotations
 

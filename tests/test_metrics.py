@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -219,3 +221,34 @@ def test_predict_labels_dtype():
     labels = predict_labels(net, x)
     assert labels.dtype == np.uint8
     assert labels.shape == (64, 64)
+
+
+def _traced_peak(fn, *args):
+    """Peak traced bytes of one call, after a warm-up call fills the caches."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_multi_scale_flip_inference_peak():
+    # at scale 1.25 (160²) the stem's whole 7x7 column matrix was 3.59 MiB;
+    # it is now built in chunks of at most 1 MiB. Measured 2.28 MiB (4.46
+    # at full matrices and three-array resizes); the bound adds 10%.
+    net = seg_net(hw=(128, 128))
+    x = np.random.default_rng(12).normal(size=(3, 128, 128)).astype(np.float32)
+    peak = _traced_peak(predict_labels, net, x, (0.5, 0.75, 1.0, 1.25), True)
+    assert peak <= 2.5 * 2**20, peak / 2**20
+
+
+def test_resize_bilinear_keeps_two_arrays_per_pass():
+    # float64 (4, 160²) -> 128²: the row pass leaves a (4, 128, 160)
+    # intermediate, and the column pass makes the output and one scaled
+    # tap beside it. 128 KiB covers numpy's ufunc buffers.
+    src = np.random.default_rng(13).random((4, 160, 160))
+    intermediate, out = 4 * 128 * 160 * 8, 4 * 128 * 128 * 8
+    peak = _traced_peak(resize_bilinear, src, (128, 128))
+    assert peak <= intermediate + 2 * out + (128 << 10), peak

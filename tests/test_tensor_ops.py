@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from sunet import tensor as T
+from sunet.arch import build_classifier, toy_config
+from sunet.runtime import Network
 from sunet.tensor import EngineError, Tensor
 
 
@@ -754,3 +756,87 @@ def test_tconv_forward_gathers_at_stride1_and_scatters_when_strided(monkeypatch,
     del calls[:]
     out.backward(rng.normal(size=out.data.shape))
     assert calls == [("_im2col", out.data.shape)]
+
+
+# ------------------------------------------- conv2d's chunked column matrix
+# Above T.COLUMN_BUDGET bytes the forward builds x's column matrix in
+# chunks: groups of whole samples, or bands of output rows of one sample.
+# The tests shrink the budget to put chunk boundaries where they bite.
+
+def _spy_columns(monkeypatch):
+    """Record the shape of each matrix _im2col returns."""
+    shapes = []
+
+    def wrapped(*args, _fn=T._im2col):
+        col = _fn(*args)
+        shapes.append(col.shape)
+        return col
+
+    monkeypatch.setattr(T, "_im2col", wrapped)
+    return shapes
+
+
+# (n, k, s, d, p, chunk): chunk is ("rows", R) for bands of R output rows
+# of one sample, ("samples", G) for groups of G whole samples
+CHUNK_CASES = {
+    "one-row band": (2, 3, 1, 1, 1, ("rows", 1)),
+    # taps span input rows i-4..i: two bands read the top pad, two the bottom
+    "bands split the pads": (2, 3, 1, 2, 4, ("rows", 2)),
+    "stride 2": (2, 3, 2, 1, 1, ("rows", 2)),
+    "dilation 2": (2, 3, 1, 2, 2, ("rows", 3)),
+    "7x7 stride-2 stem": (2, 7, 2, 1, 3, ("rows", 2)),
+    # the first and last output rows read only padding
+    "bands of padding only": (1, 1, 1, 1, 2, ("rows", 1)),
+    "short last sample group": (5, 3, 1, 1, 1, ("samples", 2)),
+}
+
+
+@pytest.mark.parametrize("n,k,s,d,p,chunk", CHUNK_CASES.values(), ids=CHUNK_CASES.keys())
+def test_chunked_conv_matches_nested_loop_oracle(monkeypatch, n, k, s, d, p, chunk):
+    rng = np.random.default_rng(5000 + 100 * k + 10 * s + d + p + n)
+    x = t64(rng.normal(size=(n, 3, 11, 9)), grad=False)
+    w = t64(rng.normal(size=(4, 3, k, k)), grad=False)
+    ho, wo = T.conv_out_size(11, k, s, d, p), T.conv_out_size(9, k, s, d, p)
+    row = 3 * k * k * wo * 8
+    kind, size = chunk
+    monkeypatch.setattr(T, "COLUMN_BUDGET", size * row * (ho if kind == "samples" else 1))
+    shapes = _spy_columns(monkeypatch)
+    out = T.conv2d(x, w, stride=s, dilation=d, padding=p)
+    _close(out.data, naive_conv(x.data, w.data, s, d, p)[0])
+    if kind == "rows":
+        bands = [min(size, ho - r) for r in range(0, ho, size)]
+        assert shapes == [(1, 3, k, k, b, wo) for _ in range(n) for b in bands]
+    else:
+        groups = [min(size, n - i) for i in range(0, n, size)]
+        assert shapes == [(g, 3, k, k, ho, wo) for g in groups]
+
+
+def test_forward_column_matrices_fit_the_budget(monkeypatch):
+    # the strided classifier runs no stride-1 tconv, whose gather is not
+    # chunked, so every _im2col of a no-grad forward is a conv2d chunk
+    budget = 6 << 10
+    monkeypatch.setattr(T, "COLUMN_BUDGET", budget)
+    shapes = _spy_columns(monkeypatch)
+    net = Network(build_classifier(toy_config(8), input_hw=(64, 64)), seed=0)
+    x = np.random.default_rng(520).normal(size=(2, 3, 64, 64)).astype(np.float32)
+    with T.no_grad():
+        net.forward(x)
+    nbytes = [4 * int(np.prod(sh)) for sh in shapes]
+    one_row = [sh[0] == 1 and sh[4] == 1 for sh in shapes]
+    assert all(b <= budget or r for b, r in zip(nbytes, one_row)), shapes
+    # all three kinds occur: over-budget single rows, bands, sample groups
+    assert any(b > budget for b in nbytes)
+    assert any(sh[0] == 1 and 1 < sh[4] for sh in shapes)
+    assert any(sh[0] == 2 for sh in shapes)
+
+
+def test_sample_group_chunks_are_bit_equal_to_the_whole_batch(monkeypatch):
+    rng = np.random.default_rng(530)
+    x = Tensor(rng.normal(size=(5, 8, 12, 10)).astype(np.float32))
+    w = Tensor(rng.normal(size=(6, 8, 3, 3)).astype(np.float32))
+    whole = T.conv2d(x, w, padding=1).data
+    monkeypatch.setattr(T, "COLUMN_BUDGET", 2 * 8 * 9 * 12 * 10 * 4)
+    shapes = _spy_columns(monkeypatch)
+    chunked = T.conv2d(x, w, padding=1).data
+    assert [sh[0] for sh in shapes] == [2, 2, 1]
+    assert chunked.tobytes() == whole.tobytes()
