@@ -32,20 +32,22 @@ runs, and never reads a parent's values later:
   its matrix);
 - conv2d_transpose keeps x's array when the weight needs a gradient,
   and pairs it with the column matrix of the output gradient;
-- batchnorm keeps its centred copy in training mode, x in eval mode,
-  and with relu=True also its own output, whose sign is the ReLU mask;
+- batchnorm keeps x's array in both modes (its backward recomputes
+  the centred copy in training mode), and with relu=True also its own
+  output, whose sign is the ReLU mask;
 - relu keeps a boolean mask of its positive outputs;
 - phase_mask keeps its 0/1 mask;
 - softmax_cross_entropy keeps its exponentials, which its backward
-  turns in place into the logits' gradient;
+  sums again and turns in place into the logits' gradient;
 - add, concat_channels, the pools and bilinear_upsample keep no
   activation.
 Kept arrays are shared, not copied: the output a fused batchnorm keeps
-is the input the next conv keeps. So no op writes into its inputs or
-into an array it has returned. A closure owns the gradient it is handed
-(backward() gives each node a private array) and may overwrite it, or
-hand it on to one parent; it writes into no other array it keeps
-except a copy of its own, such as batchnorm's centred copy or the
+is the input the next conv keeps, and the x a batchnorm keeps is the
+array a module's skip conv, reading the same input, keeps too. So no
+op writes into its inputs or into an array it has returned. A closure
+owns the gradient it is handed (backward() gives each node a private
+array) and may overwrite it, or hand it on to one parent; it writes
+into no other array it keeps except a copy of its own, such as the
 loss's exponentials.
 
 So a tensor whose values are released (Tensor.release) still carries
@@ -563,8 +565,10 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
 
     Both modes then compute out = xc * scale + shift per channel, with
     scale = gamma / sqrt(var + eps) and xc the centred copy (training)
-    or x itself (eval). The tape keeps xc in training mode and nothing
-    beyond x in eval mode.
+    or x itself (eval); training writes out into xc's buffer. The tape
+    keeps x's array in both modes, no copy of it: the training backward
+    recomputes xc by the forward's subtraction, into an array of its
+    own that it then overwrites.
 
     With relu, the op is relu(batchnorm(...)) in one: the output is
     clamped in place, and the backward takes the ReLU mask from the
@@ -579,12 +583,12 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
             raise EngineError(f"batchnorm: {name} shape {t.data.shape} != (1, {c}, 1, 1)")
     if running_mean.shape != (1, c, 1, 1) or running_var.shape != (1, c, 1, 1):
         raise EngineError("batchnorm: running stat shape mismatch")
-    dt = x.data.dtype
+    xd, dt = x.data, x.data.dtype
     m = n * h * w
     if training:
-        mean = _channel_sum(x.data) / m
+        mean = _channel_sum(xd) / m
         centre = mean.astype(dt)
-        xc = x.data - centre
+        xc = xd - centre
         offset = mean - centre          # float64 mean of xc
         var = _channel_dot(xc, xc) / m - offset * offset
         running_mean *= decay
@@ -592,11 +596,11 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
         running_var *= decay
         running_var += (1.0 - decay) * var
     else:
-        xc, offset, var = x.data, running_mean, running_var
+        offset, var = running_mean, running_var
     inv = 1.0 / np.sqrt(var + eps)
     scale64 = gamma.data * inv
     scale = scale64.astype(dt)
-    out = xc * scale
+    out = np.multiply(xc, scale, out=xc) if training else xd * scale
     out += (beta.data - offset * scale64).astype(dt)
     activated = None
     if relu:
@@ -606,6 +610,9 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
         # grad is this closure's own array, so it is overwritten in place
         if activated is not None:
             np.multiply(grad, activated > 0, out=grad)
+        # the centred copy again, by the forward's subtraction, and owned
+        # here; eval mode reads x's array itself, kept intact
+        xc = xd - centre if training else xd
         gsum = _channel_sum(grad)
         gdot = _channel_dot(grad, xc) - offset * gsum   # sum of grad * (x - mean)
         if gamma.requires_grad:
@@ -615,8 +622,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
         if x.requires_grad:
             dx = np.multiply(grad, scale, out=grad)
             if training:
-                # the batch moments depend on x as well; xc is the op's
-                # own copy here (in eval mode it is x's array, kept intact)
+                # the batch moments depend on x as well
                 k = inv * inv * gdot / m
                 dx -= np.multiply(xc, (scale64 * k).astype(dt), out=xc)
                 dx += (scale64 * (offset * k - gsum / m)).astype(dt)
@@ -730,12 +736,15 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int 
     dtype, used as it is. Returns a (1, 1, 1, 1) tensor. A batch with
     every position ignored yields zero loss and zero gradient.
 
-    The tape keeps the exponentials ez of the shifted logits (one array
-    of the logits' shape and dtype), their float64 per-pixel sums, the
-    valid mask and the labels with ignored positions set to 0. A tape
-    runs its backward at most once, so the backward consumes ez: it
-    turns it in place into softmax - onehot, scaled by valid/count and
-    by the seed, and hands it to the logits as their gradient.
+    The forward picks each pixel's labelled logit with one masked copy
+    per class and takes the per-pixel log of the float64 class sums in
+    their own buffer. The tape keeps the exponentials ez of the shifted
+    logits (one array of the logits' shape and dtype), the valid mask
+    and the labels with ignored positions set to 0. A tape runs its
+    backward at most once, so the backward consumes ez: it sums it
+    again over the classes as the forward did, turns it in place into
+    softmax - onehot, scaled by valid/count and by the seed, and hands
+    it to the logits as their gradient.
     """
     labels = np.asarray(labels)
     n, k, h, w = logits.data.shape
@@ -754,16 +763,21 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int 
     dt = logits.data.dtype
     safe = np.where(valid, labels, 0)[:, None]
     ez = logits.data - logits.data.max(axis=1, keepdims=True)
-    picked = np.take_along_axis(ez, safe, axis=1)[:, 0]
+    # the labelled class's shifted logit, one masked copy per class
+    picked = np.empty((n, h, w), dtype=dt)
+    for j in range(k):
+        np.copyto(picked, ez[:, j], where=safe[:, 0] == j)
     np.exp(ez, out=ez)
-    denom = ez.sum(axis=1, keepdims=True, dtype=np.float64)
-    perpix = np.log(denom[:, 0])
+    perpix = ez.sum(axis=1, dtype=np.float64)
+    np.log(perpix, out=perpix)
     perpix -= picked
     loss = float(perpix.sum(dtype=np.float64, where=valid) / count)
     out = np.full((1, 1, 1, 1), loss, dtype=dt)
 
     def backward(grad):
-        # a float64 loop with a dt result, rounded as (ez/denom).astype(dt)
+        # the forward's class sums again, from the same ez; a float64 loop
+        # with a dt result, rounded as (ez/denom).astype(dt)
+        denom = ez.sum(axis=1, keepdims=True, dtype=np.float64)
         np.divide(ez, denom, out=ez)
         # the ignored positions subtract at class 0 too; valid zeroes them
         np.put_along_axis(ez, safe, np.take_along_axis(ez, safe, axis=1) - 1, axis=1)

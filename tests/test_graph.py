@@ -283,12 +283,26 @@ def test_training_step_peak_without_column_matrices():
     assert peak <= 0.6 * COLUMN_MATRIX_STEP_PEAK, peak
 
 
+# The same step when each training-mode batch norm kept a centred copy
+# of its input and the loss kept its float64 per-pixel sums: 6,943,649
+# bytes. Keeping the input itself and recomputing both reads 5,703,117
+# (0.82x).
+CENTRED_COPY_STEP_PEAK = 6_943_649
+
+
+def test_training_step_peak_keeps_each_activation_once():
+    peak = training_step_peak()
+    assert peak <= 0.9 * CENTRED_COPY_STEP_PEAK, peak
+
+
 # Traced peak of one loss forward+backward at (8, 4, 96, 96), in units of
 # the logits' bytes: 5.06x when the tape kept the shifted logits beside
 # their exponentials and the backward built float64 probabilities, a
 # float32 copy, a one-hot array and the seeded product. Turning the kept
-# exponentials into the gradient in place reads 2.93x.
-LOSS_PEAK_LOGITS = 3.3
+# exponentials into the gradient in place read 2.93x; picking the
+# labelled logits by masked copies, taking the log in the float64 sums'
+# buffer and summing again in backward reads 2.56x.
+LOSS_PEAK_LOGITS = 2.8
 
 
 def test_loss_forward_backward_peak_is_a_small_multiple_of_the_logits():
