@@ -14,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import GraphError, NetworkGraph, config_to_meta
-from .unet import BN_DECAY, BN_EPS, add_module, bn_relu_conv
+from .unet import add_module, bn_relu_conv
+
+FEATURES = "head.bn"  # the backbone's output, computed at every output stride
 
 
 @dataclass(frozen=True)
@@ -110,13 +112,12 @@ def build_backbone(g: NetworkGraph, cfg: SUNetConfig,
         raise GraphError(f"config {cfg.name!r}: expected 4 blocks, got {len(cfg.blocks)}")
     # stem: the first conv runs on raw pixels, so no pre-activation here
     g.add("conv1", "conv", ["input"], cin=g.in_channels, cout=cfg.stem_channels,
-          k=(7, 7), s=(2, 2), d=(1, 1), p=(3, 3), bias=False,
-          stage="conv1", level=1)
+          k=(7, 7), s=(2, 2), d=(1, 1), p=(3, 3), stage="conv1", level=1)
     a = bn_relu_conv(g, "res.a", "conv1", cfg.stem_channels, cfg.stem_out, s=2)
     b = bn_relu_conv(g, "res.b", a, cfg.stem_out, cfg.stem_out)
     g.add("res.skip", "conv", ["conv1"], cin=cfg.stem_channels,
           cout=cfg.stem_out, k=(1, 1), s=(2, 2), d=(1, 1), p=(0, 0),
-          bias=False, role="skip")
+          role="skip")
     cur = g.add("res.out", "add", [b, "res.skip"], stage="res", level=2)
 
     cin = cfg.stem_out
@@ -134,7 +135,7 @@ def build_backbone(g: NetworkGraph, cfg: SUNetConfig,
             cin = blk.out_channels
         g.tag(cur, stage=f"block{bi}", level=2 + bi)
 
-    g.add("head.bn", "bn_relu", [cur], c=cin, decay=BN_DECAY, eps=BN_EPS)
+    g.add(FEATURES, "bn_relu", [cur], c=cin)
     return cin
 
 
@@ -147,9 +148,8 @@ def build_classifier(cfg: SUNetConfig, input_hw: tuple[int, int] = (224, 224),
     g = NetworkGraph(in_channels, (h, w))
     g.meta["kind"] = "classifier"
     g.meta["config"] = config_to_meta(cfg.to_dict())
-    g.meta["features"] = "head.bn"
     cin = build_backbone(g, cfg, (1, 1, 1, 1), multigrid=False)
-    g.add("head.gap", "gap", ["head.bn"], stage="pool")
+    g.add("head.gap", "gap", [FEATURES], stage="pool")
     g.add("head.fc", "conv", ["head.gap"], cin=cin, cout=cfg.num_classes,
           k=(1, 1), s=(1, 1), d=(1, 1), p=(0, 0), bias=True)
     g.infer_shapes()  # reject a declared input size the graph cannot run at

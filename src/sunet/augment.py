@@ -65,6 +65,11 @@ def sample_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, index]))
 
 
+def scaled_hw(hw, s: float) -> tuple[int, int]:
+    """An (h, w) extent scaled by s, each side rounded and at least 1."""
+    return max(1, int(round(hw[0] * s))), max(1, int(round(hw[1] * s)))
+
+
 def _target(out_hw) -> tuple[int, int]:
     oh, ow = int(out_hw[0]), int(out_hw[1])
     if oh < 1 or ow < 1:
@@ -260,8 +265,7 @@ def augment_sample(img: np.ndarray, mask: np.ndarray, cfg: AugmentConfig,
     scale = float(rng.uniform(cfg.scale_range[0], cfg.scale_range[1]))
     angle = float(rng.uniform(-cfg.max_rotate, cfg.max_rotate))
 
-    sh, sw = mask.shape
-    h, w = out_hw = (max(1, int(round(sh * scale))), max(1, int(round(sw * scale))))
+    h, w = out_hw = scaled_hw(mask.shape, scale)
     ch, cw = cfg.crop_hw
     y0 = int(rng.integers(0, max(h, ch) - ch + 1))
     x0 = int(rng.integers(0, max(w, cw) - cw + 1))

@@ -8,6 +8,11 @@ the executor, the analyzer and the converter all walk the same
 structure. Graphs serialize to a line-based text format closed by a
 sha256 content digest.
 
+Format 2 states only what varies between nodes: a bn_relu node carries
+its channel count and runs at batchnorm's own decay and eps, a tconv
+carries no bias, and a conv says bias=1 only where it has one. A file
+of another format fails at parse, naming its version.
+
 Serialized tag keys (stage, level, role) are reserved and never used as
 attribute names. A stage tag names a part of the network, a level tag
 orders the activation dump, and role=skip marks a residual projection.
@@ -24,18 +29,13 @@ import numpy as np
 
 from .tensor import conv_out_size, tconv_out_hw
 
-GRAPH_HEADER = "sunet-graph 1"
+GRAPH_FORMAT = 2
+GRAPH_HEADER = f"sunet-graph {GRAPH_FORMAT}"
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 
 def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    # NaN fails every range test below
-    return (isinstance(v, (int, float, np.integer, np.floating))
-            and not isinstance(v, bool))
 
 
 def _tuple_of(n: int, least: int, wants: str):
@@ -48,11 +48,8 @@ _POSITIVE = "a positive integer", lambda v: _is_int(v) and v >= 1
 _POSITIVE_PAIR = _tuple_of(2, 1, "a pair of positive integers")
 _PAD_PAIR = _tuple_of(2, 0, "a pair of non-negative integers")
 _PAD_4 = _tuple_of(4, 0, "a 4-tuple of non-negative integers")
-_DECAY = "a number in [0, 1]", lambda v: _is_real(v) and 0 <= v <= 1
-_EPS = "a finite number > 0", lambda v: _is_real(v) and 0 < v < math.inf
-# a conv may also set bias; a tconv has none, and may say bias=0
+# a conv may also set bias; a tconv has none
 _BIAS = "0 or 1", lambda v: isinstance(v, (int, np.integer)) and v in (0, 1)
-_NO_BIAS = "0 (a tconv has no bias)", lambda v: isinstance(v, (int, np.integer)) and v == 0
 
 # Tag forms, checked like attribute forms.
 _TAGS = {"stage": ("a name", lambda v: isinstance(v, str) and bool(_NAME_RE.match(v))),
@@ -66,7 +63,8 @@ _CONV = {"cin": _POSITIVE, "cout": _POSITIVE, "k": _POSITIVE_PAIR,
 @dataclass(frozen=True)
 class Kind:
     """The inputs a node of a kind reads, as (least, most), the form of
-    each attribute it must carry, and of each it may carry."""
+    each attribute it must carry, and of each it may carry; no other.
+    What never varies is the kind's, not a node's (a bn_relu's decay and eps)."""
     inputs: tuple[int, float]
     attrs: dict
     optional: dict = field(default_factory=dict)
@@ -79,8 +77,8 @@ class Kind:
 KINDS = {
     "input": Kind((0, 0), {"c": _POSITIVE}),
     "conv": Kind((1, 1), _CONV, {"bias": _BIAS}),
-    "tconv": Kind((2, 2), _CONV, {"bias": _NO_BIAS}),
-    "bn_relu": Kind((1, 1), {"c": _POSITIVE, "decay": _DECAY, "eps": _EPS}),
+    "tconv": Kind((2, 2), _CONV),
+    "bn_relu": Kind((1, 1), {"c": _POSITIVE}),
     "avg_pool": Kind((1, 1), {"window": _POSITIVE_PAIR, "s": _POSITIVE_PAIR,
                               "d": _POSITIVE_PAIR, "pad": _PAD_4}),
     "gap": Kind((1, 1), {}),
@@ -222,6 +220,11 @@ class NetworkGraph:
     def parse(cls, text: str) -> "NetworkGraph":
         lines = text.splitlines()
         if not lines or lines[0] != GRAPH_HEADER:
+            magic, _, version = (lines[0] if lines else "").partition(" ")
+            if magic == "sunet-graph":
+                raise GraphError(f"graph format {version} is not read, only format "
+                                 f"{GRAPH_FORMAT}: rebuild the graph with "
+                                 f"suncli build or suncli convert")
             raise GraphError("not a serialized graph (bad header)")
         if not lines[-1].startswith("digest "):
             raise GraphError("serialized graph is missing its digest line")
@@ -301,20 +304,20 @@ def _node_shape(node: Node, src, in_hw) -> tuple[int, int, int]:
     a = node.attrs
     if kind == "input":
         return (a["c"], in_hw[0], in_hw[1])
+    if kind in ("conv", "tconv", "bn_relu"):
+        want = a["c"] if kind == "bn_relu" else a["cin"]
+        if src[0][0] != want:
+            raise GraphError(f"node {node.name!r}: expects {want} channels, "
+                             f"got {src[0][0]}")
     if kind == "conv":
-        c, h, w = src[0]
-        if c != a["cin"]:
-            raise GraphError(f"node {node.name!r}: expects {a['cin']} channels, got {c}")
+        _, h, w = src[0]
         kh, kw = a["k"]
         sh, sw = a["s"]
         dh, dw = a["d"]
         ph, pw = a["p"]
         return (a["cout"], conv_out_size(h, kh, sh, dh, ph), conv_out_size(w, kw, sw, dw, pw))
     if kind == "tconv":
-        c, h, w = src[0]
-        if c != a["cin"]:
-            raise GraphError(f"node {node.name!r}: expects {a['cin']} channels, got {c}")
-        return (a["cout"],) + tconv_out_hw((h, w), src[1][1:], a["k"], a["s"],
+        return (a["cout"],) + tconv_out_hw(src[0][1:], src[1][1:], a["k"], a["s"],
                                            a["d"], a["p"])
     if kind in ("bn_relu", "grid_mask"):
         return src[0]

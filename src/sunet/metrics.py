@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .augment import resize_bilinear
+from .augment import resize_bilinear, scaled_hw
 from .data import Dataset, normalize_image
 # not called here; bench/tracing.py wraps both as metrics attributes
 from .segment import copy_shared, rebuild_for_input
@@ -107,8 +107,7 @@ def _variant_probs(net, image: np.ndarray, s: float, mirrored: bool) -> np.ndarr
     returns."""
     _, h, w = image.shape
     x = image[:, :, ::-1] if mirrored else image
-    hw = (max(1, int(round(h * s))), max(1, int(round(w * s))))
-    x = resize_bilinear(np.ascontiguousarray(x), hw)
+    x = resize_bilinear(np.ascontiguousarray(x), scaled_hw((h, w), s))
     with no_grad():
         probs = softmax_probs(net.forward(x[None], training=False).data[0])
     del x

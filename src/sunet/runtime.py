@@ -168,8 +168,7 @@ class Network:
                                self.params[f"{node.name}.beta"],
                                self.stats[f"{node.name}.running_mean"],
                                self.stats[f"{node.name}.running_var"],
-                               training=training, decay=a["decay"], eps=a["eps"],
-                               relu=True)
+                               training=training, relu=True)
         if kind == "avg_pool":
             return T.avg_pool2d(src[0], window=a["window"], stride=a["s"],
                                 dilation=a["d"], padding=a["pad"])

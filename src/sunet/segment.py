@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analyzer import receptive_field
-from .arch import SUNetConfig, build_backbone, build_classifier
+from .arch import FEATURES, SUNetConfig, build_backbone, build_classifier
 from .graph import GraphError, NetworkGraph, config_to_meta
 from .tensor import no_grad
-from .unet import BN_DECAY, BN_EPS, bn_relu_conv
+from .unet import bn_relu_conv
 
 # base dilation per block for each supported output stride
 _BLOCK_RATES = {32: (1, 1, 1, 1), 16: (1, 1, 1, 2), 8: (1, 1, 2, 4)}
@@ -72,17 +72,16 @@ def to_segmentation(g: NetworkGraph, cfg: SegmentationConfig) -> NetworkGraph:
     out.meta["config"] = g.meta["config"]
     out.meta["seg"] = config_to_meta(cfg.to_dict())
     out.meta["output_stride"] = str(cfg.output_stride)
-    out.meta["features"] = "head.bn"
     cin = build_backbone(out, net_cfg, rates, cfg.multigrid)
-    cur = "head.bn"
+    cur = FEATURES
     if cfg.degridding:
         d1 = max(rates[-1] // 2, 1)
         d2 = max(rates[-1] // 4, 1)
         cur = out.add("deg1.conv", "conv", [cur], cin=cin, cout=512,
-                      k=(3, 3), s=(1, 1), d=(d1, d1), p=(d1, d1), bias=False)
+                      k=(3, 3), s=(1, 1), d=(d1, d1), p=(d1, d1))
         cur = bn_relu_conv(out, "deg2", cur, 512, 512, d=d2)
         cin = 512
-    out.add("cls.bn", "bn_relu", [cur], c=cin, decay=BN_DECAY, eps=BN_EPS)
+    out.add("cls.bn", "bn_relu", [cur], c=cin)
     cur = out.add("cls.conv", "conv", ["cls.bn"], cin=cin,
                   cout=cfg.num_classes, k=(1, 1), s=(1, 1), d=(1, 1),
                   p=(0, 0), bias=True, stage="classifier", level=6)
@@ -138,13 +137,11 @@ def default_margin(graph: NetworkGraph, hw: tuple[int, int],
                    feature_hw: tuple[int, int]) -> int:
     """Interior margin for the equivalence check, in feature positions.
 
-    Enough to keep every compared receptive field inside the input, but
-    never so much that fewer than 2x2 positions survive.
+    Enough to keep every compared receptive field of the backbone's
+    features inside the input, but never so much that fewer than 2x2
+    positions survive.
     """
-    node = graph.meta.get("features")
-    if node is None:
-        raise GraphError("graph has no feature marker")
-    st = receptive_field(graph, hw)[node]
+    st = receptive_field(graph, hw)[FEATURES]
     need = 0
     for ax in (0, 1):
         half = (st[ax].rf - 1) / 2
@@ -170,13 +167,9 @@ def atrous_equivalence_check(ref_net, dil_net, x, margin: int | None = None) -> 
     if os_dil >= os_ref or os_ref % os_dil:
         raise GraphError(f"ref must be coarser: got {os_ref} vs {os_dil}")
     factor = os_ref // os_dil
-    feat_ref = ref_net.graph.meta.get("features")
-    feat_dil = dil_net.graph.meta.get("features")
-    if feat_ref is None or feat_dil is None:
-        raise GraphError("both graphs need feature markers")
     with no_grad():
-        a = ref_net.forward(x, training=False, collect=[feat_ref])[1][feat_ref].data
-        b = dil_net.forward(x, training=False, collect=[feat_dil])[1][feat_dil].data
+        a = ref_net.forward(x, training=False, collect=[FEATURES])[1][FEATURES].data
+        b = dil_net.forward(x, training=False, collect=[FEATURES])[1][FEATURES].data
     b = b[:, :, ::factor, ::factor]
     if a.shape[:2] != b.shape[:2]:
         raise GraphError(f"feature shapes diverge: {a.shape} vs {b.shape}")

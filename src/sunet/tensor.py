@@ -562,6 +562,8 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
     running stats are updated in place:
     running <- decay * running + (1 - decay) * batch. Eval mode takes
     the running stats and is one per-channel scale and shift of x.
+    The defaults, decay 0.99 and eps 1e-5, are the only BN setting: a
+    graph's bn_relu node runs at them and states neither.
 
     Both modes then compute out = xc * scale + shift per channel, with
     scale = gamma / sqrt(var + eps) and xc the centred copy (training)

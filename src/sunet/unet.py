@@ -31,9 +31,6 @@ from __future__ import annotations
 
 from .graph import GraphError, NetworkGraph
 
-BN_DECAY = 0.99
-BN_EPS = 1e-5
-
 
 def bn_relu_conv(g: NetworkGraph, base: str, src: str, cin: int, cout: int, *,
                  k: int = 3, s: int = 1, d: int = 1, restore: str | None = None,
@@ -41,8 +38,9 @@ def bn_relu_conv(g: NetworkGraph, base: str, src: str, cin: int, cout: int, *,
     """Emit a pre-activated block: bn_relu -> [mask] -> (transposed) conv.
 
     The BN-ReLU is one bn_relu node named ``<base>.bn``, which holds the
-    BN parameters and statistics. Padding is always the size-preserving
-    d*(k-1)/2, convs carry no bias (a BN follows every block boundary).
+    BN parameters and statistics and runs at batchnorm's own decay and
+    eps. Padding is always the size-preserving d*(k-1)/2, and convs
+    carry no bias (a BN follows every block boundary).
     ``restore`` names the node whose spatial extent the block restores
     and makes the conv a transposed one, with that node as its second
     input. ``mask=(name, period, keep)`` puts a grid_mask node of that
@@ -50,12 +48,11 @@ def bn_relu_conv(g: NetworkGraph, base: str, src: str, cin: int, cout: int, *,
     at the masked positions. Returns the conv node name.
     """
     p = d * (k - 1) // 2
-    feed = g.add(f"{base}.bn", "bn_relu", [src], c=cin, decay=BN_DECAY, eps=BN_EPS)
+    feed = g.add(f"{base}.bn", "bn_relu", [src], c=cin)
     if mask is not None:
         name, period, keep = mask
         feed = g.add(name, "grid_mask", [feed], period=period, keep=keep)
-    attrs = dict(cin=cin, cout=cout, k=(k, k), s=(s, s), d=(d, d), p=(p, p),
-                 bias=False)
+    attrs = dict(cin=cin, cout=cout, k=(k, k), s=(s, s), d=(d, d), p=(p, p))
     if restore is not None:
         return g.add(f"{base}.conv", "tconv", [feed, restore], **attrs)
     return g.add(f"{base}.conv", "conv", [feed], **attrs)
@@ -103,8 +100,7 @@ def add_module(g: NetworkGraph, prefix: str, src: str, cin: int, width: int,
     else:
         # expansion layer: plain 1x1 projection on the residual path
         skip = g.add(f"{prefix}.skip", "conv", [src], cin=cin, cout=cout,
-                     k=(1, 1), s=(1, 1), d=(1, 1), p=(0, 0), bias=False,
-                     role="skip")
+                     k=(1, 1), s=(1, 1), d=(1, 1), p=(0, 0), role="skip")
     return g.add(f"{prefix}.out", "add", [bout, skip])
 
 

@@ -8,7 +8,7 @@ import pytest
 import sunet.training
 from sunet.arch import build_classifier, toy_config
 from sunet.cli import main
-from sunet.graph import NetworkGraph
+from sunet.graph import GRAPH_HEADER, NetworkGraph
 from sunet.io import read_pgm
 
 
@@ -92,7 +92,7 @@ def test_build_round_trip(tmp_path, capsys):
 CONV = "node c1 conv in=input cin=3 cout=8 d=1x1 k=3x3 p=1x1 s=1x1\n"
 
 
-BN = "node b1 bn_relu in=input c=3 decay=0.99 eps=1e-05\n"
+BN = "node b1 bn_relu in=input c=3\n"
 
 
 @pytest.mark.parametrize("input_line,node_line,message", [
@@ -113,10 +113,13 @@ BN = "node b1 bn_relu in=input c=3 decay=0.99 eps=1e-05\n"
      "node 'c1': attribute 's' must be a pair of positive integers, got (0, 0)"),
     ("input c=3 h=16 w=16", CONV.replace("cout=8", "cout=0"),
      "node 'c1': attribute 'cout' must be a positive integer, got 0"),
-    ("input c=3 h=16 w=16", BN.replace("decay=0.99", "decay=nan"),
-     "node 'b1': attribute 'decay' must be a number in [0, 1], got nan"),
-    ("input c=3 h=16 w=16", BN.replace("eps=1e-05", "eps=-1"),
-     "node 'b1': attribute 'eps' must be a finite number > 0, got -1"),
+    # a bn_relu runs at batchnorm's own decay and eps and states neither
+    ("input c=3 h=16 w=16", BN.replace("\n", " decay=nan\n"),
+     "node 'b1': bn_relu has no attribute 'decay'"),
+    ("input c=3 h=16 w=16", BN.replace("\n", " eps=-1\n"),
+     "node 'b1': bn_relu has no attribute 'eps'"),
+    ("input c=3 h=16 w=16", CONV + BN.replace("in=input c=3", "in=c1 c=5"),
+     "node 'b1': expects 5 channels, got 8"),
     ("input c=3 h=16 w=16", "node g1 grid_mask in=input keep=0 period=2\n",
      "node 'g1': attribute 'keep' must be a positive integer, got 0"),
     ("input c=3 h=16 w=16", "node g1 grid_mask in=input keep=3 period=2\n",
@@ -131,11 +134,11 @@ BN = "node b1 bn_relu in=input c=3 decay=0.99 eps=1e-05\n"
 ], ids=["node-name-only", "conv-without-cin", "input-without-w", "bare-token",
         "conv-without-input", "conv-with-two-inputs", "add-with-one-input",
         "int-kernel", "zero-stride", "zero-cout", "nan-decay", "negative-eps",
-        "zero-keep", "keep-above-period", "level-not-an-int", "role-not-skip",
+        "bn-channels-differ", "zero-keep", "keep-above-period", "level-not-an-int", "role-not-skip",
         "unknown-attribute"])
 def test_malformed_graph_file_exits_1(tmp_path, capsys, input_line, node_line,
                                       message):
-    body = f"sunet-graph 1\n{input_line}\n{node_line}"
+    body = f"{GRAPH_HEADER}\n{input_line}\n{node_line}"
     path = tmp_path / "bad.graph"
     path.write_text(body + f"digest {hashlib.sha256(body.encode()).hexdigest()}\n")
     rc, _, err = run(capsys, "analyze", "--graph", str(path))
@@ -144,21 +147,34 @@ def test_malformed_graph_file_exits_1(tmp_path, capsys, input_line, node_line,
 
 
 def test_tconv_with_bias_exits_1(tmp_path, capsys):
-    # builder tconvs serialize bias=0, which parses to the same digest;
-    # bias=1 names the node and the attribute
+    # builder graphs write bias only on the convs that have one; bias=1
+    # on a tconv names the node and the attribute
     g = build_classifier(toy_config(8), input_hw=(64, 64))
     text = g.serialize()
+    assert [ln.split()[1] for ln in text.splitlines() if " bias=" in ln] == ["head.fc"]
     line = next(ln for ln in text.splitlines() if " tconv " in ln)
-    assert " bias=0 " in line
-    assert NetworkGraph.parse(text).digest == g.digest
     path = tmp_path / "bias.graph"
-    body = text.replace(line, line.replace(" bias=0 ", " bias=1 ")).rsplit("digest ", 1)[0]
+    body = text.replace(line, line + " bias=1").rsplit("digest ", 1)[0]
     path.write_text(body + f"digest {hashlib.sha256(body.encode()).hexdigest()}\n")
     rc, _, err = run(capsys, "analyze", "--graph", str(path))
     assert rc == 1
     name = line.split()[1]
-    assert (f"error: node {name!r}: attribute 'bias' must be 0 (a tconv has no "
-            f"bias), got 1") in err
+    assert f"error: node {name!r}: tconv has no attribute 'bias'" in err
+
+
+def test_format_1_graph_file_exits_1_naming_its_version(tmp_path, capsys):
+    # a well-formed file of the format that wrote decay, eps and bias=0 on
+    # every node; its digest is valid, its version is not read
+    body = ("sunet-graph 1\ninput c=3 h=16 w=16\nmeta features b1\n"
+            + CONV.replace("\n", " bias=0\n")
+            + "node b1 bn_relu in=c1 c=8 decay=0.99 eps=1e-05\n")
+    path = tmp_path / "old.graph"
+    path.write_text(body + f"digest {hashlib.sha256(body.encode()).hexdigest()}\n")
+    rc, out, err = run(capsys, "analyze", "--graph", str(path))
+    assert rc == 1
+    assert out == ""
+    assert err == ("error: graph format 1 is not read, only format 2: rebuild "
+                   "the graph with suncli build or suncli convert\n")
 
 
 def test_convert_degridding_layout(tmp_path, capsys):

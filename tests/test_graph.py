@@ -19,7 +19,7 @@ def small_graph():
     g = NetworkGraph(3, (16, 16))
     g.add("c1", "conv", ["input"], cin=3, cout=8, k=(3, 3), s=(2, 2),
           d=(1, 1), p=(1, 1), bias=False, stage="conv1", level=1)
-    g.add("b1", "bn_relu", ["c1"], c=8, decay=0.99, eps=1e-5)
+    g.add("b1", "bn_relu", ["c1"], c=8)
     g.meta["kind"] = "test"
     return g
 
@@ -91,18 +91,18 @@ def test_tag_forms_are_checked_in_add_and_tag(tags, message):
         g.tag("b1", **tags)
     assert g.by_name["b1"].tags == {}
     with pytest.raises(GraphError, match=f"node 'b2': {re.escape(message)}"):
-        g.add("b2", "bn_relu", ["b1"], c=8, decay=0.99, eps=1e-5, **tags)
+        g.add("b2", "bn_relu", ["b1"], c=8, **tags)
     assert "b2" not in g.by_name
 
 
 def test_tconv_carries_no_bias():
     g = small_graph()
     up = dict(cin=8, cout=3, k=(3, 3), s=(2, 2), d=(1, 1), p=(1, 1))
-    g.add("up0", "tconv", ["b1", "input"], bias=False, **up)
     g.add("up1", "tconv", ["b1", "input"], **up)
-    with pytest.raises(GraphError, match="node 'up2': attribute 'bias' must be 0"):
-        g.add("up2", "tconv", ["b1", "input"], bias=True, **up)
-    assert set(Network(g).params) == {"c1.w", "b1.gamma", "b1.beta", "up0.w", "up1.w"}
+    for bias in (False, True):
+        with pytest.raises(GraphError, match="node 'up2': tconv has no attribute 'bias'"):
+            g.add("up2", "tconv", ["b1", "input"], bias=bias, **up)
+    assert set(Network(g).params) == {"c1.w", "b1.gamma", "b1.beta", "up1.w"}
 
 
 def test_meta_survives_round_trip():
@@ -123,8 +123,7 @@ def test_infer_shapes_tracks_stride():
 
 def test_tconv_restores_the_extent_of_its_second_input():
     g = small_graph()
-    up = dict(cin=8, cout=3, k=(3, 3), s=(2, 2), d=(1, 1), p=(1, 1),
-              bias=False)
+    up = dict(cin=8, cout=3, k=(3, 3), s=(2, 2), d=(1, 1), p=(1, 1))
     with pytest.raises(GraphError, match="'up'"):
         g.add("up", "tconv", ["b1"], **up)
     g.add("up", "tconv", ["b1", "input"], **up)

@@ -183,11 +183,11 @@ def test_converted_forward_shapes_differ_only_spatially():
 # these pins breaks every checkpoint of that architecture: update them
 # only on purpose and say which checkpoints stop loading.
 PINNED_DIGESTS = {
-    "classifier": "ed3bfdd79160f0b52bbbc99680e9ff3cca3d9620dd6880b8dfc661ee1913ec5a",
-    "os16-multigrid": "b036ff6c894a6bc8dc85c49e89ade1d7ad0fc9a752ca4c036166f91e1ab54dae",
-    "os8-multigrid-degridding": "3857c9cefe3fe0e87712f6cc5c882636b64e535f23d4a6f415bdbb62bdf0ddb7",
-    "os8-strided": "e9daa841254d852ae3432e8a650edadb01fc8dcfeea916a19ddf44d08cf6704c",
-    "module-trimmed-multigrid-rate2": "768f283547cff79855d5cd2897fc2411542678451a9938b1df6f1b50c3103e27",
+    "classifier": "c10a0f341e45d6340a0b4294cc150f7ac446345e758d96f78445a0474a73ebc1",
+    "os16-multigrid": "bc4bffdbe9bba69bcad2befc29853fa48b3001d8dbf4a3a54dc88c37f56bf89b",
+    "os8-multigrid-degridding": "9ace901fdfde72552a41ddfaf590aa0f10c762cb8905aec3fde31de78bf834ae",
+    "os8-strided": "b6dc66682042f790b8046e5c16c7944c3c94d0566bf7b3e7b7c44d9912a10e61",
+    "module-trimmed-multigrid-rate2": "e5b502b6cba396e77b9b41f95f5f52236b52898aa94ba74e4e789c5fe9a92a4c",
 }
 
 
