@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import conv_out_size, tconv_out_hw
+from .tensor import conv_out_size, pool_out_hw, tconv_out_hw
 
 GRAPH_FORMAT = 2
 GRAPH_HEADER = f"sunet-graph {GRAPH_FORMAT}"
@@ -48,8 +48,9 @@ _POSITIVE = "a positive integer", lambda v: _is_int(v) and v >= 1
 _POSITIVE_PAIR = _tuple_of(2, 1, "a pair of positive integers")
 _PAD_PAIR = _tuple_of(2, 0, "a pair of non-negative integers")
 _PAD_4 = _tuple_of(4, 0, "a 4-tuple of non-negative integers")
-# a conv may also set bias; a tconv has none
-_BIAS = "0 or 1", lambda v: isinstance(v, (int, np.integer)) and v in (0, 1)
+# a conv with a bias says bias=1 (True in memory), one without says nothing;
+# a tconv has none
+_BIAS = "1", lambda v: isinstance(v, (int, np.integer)) and v == 1
 
 # Tag forms, checked like attribute forms.
 _TAGS = {"stage": ("a name", lambda v: isinstance(v, str) and bool(_NAME_RE.match(v))),
@@ -283,8 +284,6 @@ def _render(value) -> str:
         return "x".join(str(int(v)) for v in value)
     if isinstance(value, bool):
         return str(int(value))
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
@@ -293,10 +292,7 @@ def _parse_value(raw: str):
         return tuple(int(part) for part in raw.split("x"))
     if raw.lstrip("-").isdigit():
         return int(raw)
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
+    return raw
 
 
 def _node_shape(node: Node, src, in_hw) -> tuple[int, int, int]:
@@ -322,13 +318,7 @@ def _node_shape(node: Node, src, in_hw) -> tuple[int, int, int]:
     if kind in ("bn_relu", "grid_mask"):
         return src[0]
     if kind == "avg_pool":
-        c, h, w = src[0]
-        wh, ww = a["window"]
-        sh, sw = a["s"]
-        dh, dw = a["d"]
-        pt, pb, pl, pr = a["pad"]
-        return (c, conv_out_size(h + pt + pb, wh, sh, dh, 0),
-                conv_out_size(w + pl + pr, ww, sw, dw, 0))
+        return (src[0][0],) + pool_out_hw(src[0][1:], a["window"], a["s"], a["d"], a["pad"])
     if kind == "gap":
         return (src[0][0], 1, 1)
     if kind == "add":

@@ -14,15 +14,12 @@ pointwise conv (1x1, stride 1, no padding), such as a fully-connected
 layer on a 1x1 map, reads its input as its column matrix. Other convs
 gather patches with _im2col and scatter them back with _col2im, both
 clipping each kernel tap to the unpadded input, so no padded copy is
-built; the per-tap slices (the tap plan) are cached per shape. conv2d's
-forward builds its column matrix at most COLUMN_BUDGET bytes at a time,
-in groups of whole samples or in bands of output rows of one sample
-(at least one row); the backward's matrices are built whole. A conv's
-adjoint is one gather with the flipped kernel at stride 1 (a view of
-the gradient on the pointwise path), and a matmul and a _col2im scatter
-when strided. So conv2d's input gradient and conv2d_transpose's forward
-scatter only when strided, and at stride 1 conv2d's gathered matrix
-gives its weight gradient too.
+built; the per-tap slices (the tap plan) are cached per shape. One chunk
+plan (_plan) builds every conv matrix at most COLUMN_BUDGET bytes at a
+time, in groups of whole samples or in bands of at least one output row
+of one sample. A conv's adjoint gathers with the flipped kernel at
+stride 1 and scatters when strided; a backward that gathers a matrix
+takes the weight gradient from the same chunks.
 
 A backward closure keeps only the arrays it reads, captured when the op
 runs, and never reads a parent's values later:
@@ -247,6 +244,13 @@ def tconv_out_hw(hw, out_hw, k, s, d, p) -> tuple[int, int]:
     return out
 
 
+def pool_out_hw(hw, window, s, d, pad) -> tuple[int, int]:
+    """Output extent of a pool over an hw input padded by pad, given as
+    (top, bottom, left, right)."""
+    return (conv_out_size(hw[0] + pad[0] + pad[1], window[0], s[0], d[0], 0),
+            conv_out_size(hw[1] + pad[2] + pad[3], window[1], s[1], d[1], 0))
+
+
 def _pair(v):
     if isinstance(v, (tuple, list)):
         return int(v[0]), int(v[1])
@@ -298,97 +302,102 @@ def _im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
     return col
 
 
-def _col2im(col: np.ndarray, h: int, w: int, kh: int, kw: int, sh: int, sw: int,
+def _col2im(col: np.ndarray, x: np.ndarray, kh: int, kw: int, sh: int, sw: int,
             dh: int, dw: int, pt: int, pl: int) -> np.ndarray:
-    """Scatter-add (n, c, kh, kw, ho, wo) patches back to (n, c, h, w);
-    the adjoint of _im2col, dropping what lands in the padding."""
-    n, c, _, _, ho, wo = col.shape
-    x = np.zeros((n, c, h, w), dtype=col.dtype)
-    for u, v, oi, oj, ii, ij in _taps(h, w, ho, wo, kh, kw, sh, sw, dh, dw, pt, pl):
+    """Scatter-add (n, c, kh, kw, ho, wo) patches into x in place and return
+    x; the adjoint of _im2col, dropping what lands in the padding."""
+    ho, wo = col.shape[4:]
+    for u, v, oi, oj, ii, ij in _taps(*x.shape[2:], ho, wo, kh, kw, sh, sw, dh, dw, pt, pl):
         x[:, :, ii, ij] += col[:, :, u, v, oi, oj]
     return x
 
 
 # ------------------------------------------------------ the conv core
 
-def _pointwise(k, s, p) -> bool:
-    return (k, s, p) == ((1, 1), (1, 1), (0, 0))
-
-
-def _columns(a: np.ndarray, k, s, d, p, out_hw) -> np.ndarray:
-    """The (n, c*kh*kw, ho*wo) column matrix of a conv over a: a view of a
-    on the pointwise path, its _im2col matrix otherwise."""
-    n, c, h, w = a.shape
-    if _pointwise(k, s, p):
-        return a.reshape(n, c, h * w)
-    return _im2col(a, *k, *s, *d, *p, *out_hw).reshape(n, c * k[0] * k[1], -1)
-
-
-# bytes of a conv forward's column matrix built at once: above it conv2d
-# builds the matrix in chunks of whole samples, or of output rows
+# bytes of a conv matrix built at once: above it the matrix is built in
+# chunks of whole samples, or of output rows of one sample
 COLUMN_BUDGET = 1 << 20
 
 
-def _conv_forward(x: np.ndarray, w2: np.ndarray, k, s, d, p, out_hw) -> np.ndarray:
-    """The (n, co, ho*wo) product of the (co, c*kh*kw) weight matrix w2
-    with x's column matrix, built COLUMN_BUDGET bytes at a time.
-
-    A pointwise conv multiplies a view of x. Otherwise, when one sample's
-    matrix fits the budget, each chunk is a group of whole samples (the
-    whole batch, when it fits): every GEMM is then the per-sample one the
-    unchunked matmul runs. When it does not, each chunk is a band of at
-    least one output row of one sample, gathered from only the input rows
-    the band reads, with the top pad clipped. Each chunk's matmul writes
-    into the output, and the chunk is freed before the next is built.
+def _plan(a: np.ndarray, k, s, d, p, out_hw):
+    """The chunk plan of a conv matrix, the (n, c*kh*kw, ho*wo) columns of a
+    conv over an input like a or the patches a strided adjoint scatters
+    onto it. Per chunk, in sample and row order, it gives
+    (samples, r0, r1, rows, pad): output rows r0 to r1 of the samples
+    slice, and the input rows they read, below pad rows of padding.
+    Chunks are groups of whole samples when one sample's matrix fits
+    COLUMN_BUDGET bytes, so each GEMM is a batched matmul's per-sample
+    one; otherwise bands of at least one output row of one sample.
     """
-    if _pointwise(k, s, p):
-        return np.matmul(w2, _columns(x, k, s, d, p, out_hw))
-    n, c, h, w = x.shape
-    co = w2.shape[0]
-    (kh, kw), (sh, sw), (dh, dw), (pt, pl), (ho, wo) = k, s, d, p, out_hw
-    out = np.empty((n, co, ho * wo), dtype=x.dtype)
-    row = c * kh * kw * wo * x.itemsize     # bytes of one output row's columns
-    if row * ho <= COLUMN_BUDGET:
-        step = COLUMN_BUDGET // (row * ho)
-        for i in range(0, n, step):
-            m = min(n, i + step) - i
-            np.matmul(w2, _im2col(x[i:i + m], kh, kw, sh, sw, dh, dw, pt, pl, ho, wo)
-                      .reshape(m, -1, ho * wo), out=out[i:i + m])
-        return out
-    rows = max(1, COLUMN_BUDGET // row)
-    for i in range(n):
-        for r0 in range(0, ho, rows):
-            r1 = min(ho, r0 + rows)
-            top = r0 * sh - pt                  # the band's first tap row
-            lo = max(top, 0)
+    n, c, h, _ = a.shape
+    (kh, kw), (sh, _), (dh, _), (pt, _), (ho, wo) = k, s, d, p, out_hw
+    row = c * kh * kw * wo * a.itemsize     # bytes of one output row's columns
+    m = max(1, COLUMN_BUDGET // (row * ho))
+    band = ho if row * ho <= COLUMN_BUDGET else max(1, COLUMN_BUDGET // row)
+    for i in range(0, n, m):
+        for r0 in range(0, ho, band):
+            top = r0 * sh - pt              # the chunk's first tap row
+            r1, lo = min(ho, r0 + band), max(top, 0)
             hi = max(lo, min(h, (r1 - 1) * sh - pt + (kh - 1) * dh + 1))
-            np.matmul(w2, _im2col(x[i:i + 1, :, lo:hi], kh, kw, sh, sw, dh, dw,
-                                  lo - top, pl, r1 - r0, wo).reshape(1, -1, (r1 - r0) * wo),
-                      out=out[i:i + 1, :, r0 * wo:r1 * wo])
-    return out
+            yield slice(i, min(n, i + m)), r0, r1, slice(lo, hi), lo - top
 
 
-def _adjoint(g: np.ndarray, w: np.ndarray, s, d, p, in_hw):
+def _conv_gemm(a: np.ndarray, w2, k, s, d, p, out_hw, other=None, lead=False):
+    """A conv over a, by the chunks of a's column matrix; returns (out, total).
+
+    Each chunk, gathered by _im2col from the input rows it reads, is freed
+    before the next is built; a pointwise conv's matrix is a view, one chunk.
+    out is w2 (co, c*kh*kw) times the matrix, (n, co, ho, wo), or None
+    without w2. Given other, (n, c', ho, wo), total sums the matrix times
+    other's transpose (with lead, other times the matrix's transpose) over
+    the same chunks, one sample at a time in sample order, as a sum over
+    axis 0 of the whole batch's products does.
+    """
+    n, c, h, w = a.shape
+    (kh, kw), (ho, wo) = k, out_hw
+    out = None if w2 is None else np.empty((n, w2.shape[0], ho, wo), dtype=a.dtype)
+    b3 = None if other is None else other.reshape(n, other.shape[1], ho * wo)
+    total = None
+    pointwise = (k, s, p) == ((1, 1), (1, 1), (0, 0))
+    chunks = [(slice(0, n), 0, ho, None, 0)] if pointwise else _plan(a, k, s, d, p, out_hw)
+    for i, r0, r1, rows, pad in chunks:
+        cols = slice(r0 * wo, r1 * wo)
+        col = a.reshape(n, c, h * w) if pointwise else \
+            _im2col(a[i, :, rows], kh, kw, *s, *d, pad, p[1], r1 - r0, wo) \
+            .reshape(i.stop - i.start, c * kh * kw, (r1 - r0) * wo)
+        if w2 is not None:
+            np.matmul(w2, col, out=out.reshape(n, -1, ho * wo)[i, :, cols])
+        if b3 is not None:
+            b = b3[i, :, cols]
+            for q in (np.matmul(b, col.transpose(0, 2, 1)) if lead
+                      else np.matmul(col, b.transpose(0, 2, 1))):
+                total = q.copy() if total is None else np.add(total, q, out=total)
+        del col
+    return out, total
+
+
+def _adjoint(g: np.ndarray, w: np.ndarray, s, d, p, in_hw, other=None):
     """Map g from the output grid of the conv with weight w (co, ci, kh, kw)
-    back to its (n, ci, h, w) input grid; returns (result, gathered).
+    back to its (n, ci, h, w) input grid; returns (result, total).
 
-    At stride 1 the adjoint is a stride-1 conv of g with w flipped in both
-    spatial axes and its channel axes swapped: g is gathered once over
-    the input extent padded by d*(k-1) - p (negative pads clip; a
-    pointwise conv's gathered matrix is a view of g), and that matrix,
-    whose tap u is the conv's tap k-1-u, is returned as gathered.
-    Strided, gathered is None and the result is w's transpose times g,
-    scattered with _col2im.
+    At stride 1 this is _conv_gemm of g and other, with w flipped in both
+    spatial axes and its channel axes swapped, over the input extent
+    padded by d*(k-1) - p (negative pads clip), so tap u is the conv's tap
+    k-1-u. Strided, total is None: each chunk of the patch matrix, w's
+    transpose times g, is scattered in place into the rows it covers.
     """
     n, co, ho, wo = g.shape
     _, ci, kh, kw = w.shape
     if s == (1, 1):
         q = (d[0] * (kh - 1) - p[0], d[1] * (kw - 1) - p[1])
-        gathered = _columns(g, (kh, kw), s, d, q, in_hw)
         w_flip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * kh * kw)
-        return np.matmul(w_flip, gathered).reshape(n, ci, *in_hw), gathered
-    col = np.matmul(w.reshape(co, -1).T, g.reshape(n, co, ho * wo))
-    return _col2im(col.reshape(n, ci, kh, kw, ho, wo), *in_hw, kh, kw, *s, *d, *p), None
+        return _conv_gemm(g, w_flip, (kh, kw), s, d, q, in_hw, other)
+    out = np.zeros((n, ci, *in_hw), dtype=g.dtype)
+    wt, g3 = w.reshape(co, -1).T, g.reshape(n, co, ho * wo)
+    for i, r0, r1, rows, pad in _plan(out, (kh, kw), s, d, p, (ho, wo)):
+        _col2im(np.matmul(wt, g3[i, :, r0 * wo:r1 * wo]).reshape(-1, ci, kh, kw, r1 - r0, wo),
+                out[i, :, rows], kh, kw, *s, *d, pad, p[1])
+    return out, None
 
 
 def _check_conv(op: str, x: Tensor, weight: Tensor, bias: Tensor | None,
@@ -409,14 +418,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride=1, dilation=1, padding=0) -> Tensor:
     """2-D convolution (cross-correlation) with stride and dilation.
 
-    The forward is a batched matmul of the weight with x's column
-    matrix, built in chunks of at most COLUMN_BUDGET bytes by
-    _conv_forward, each freed before the next: when the weight needs a
-    gradient the tape keeps x's array instead. The input gradient is the
-    conv's _adjoint of the output gradient g. The weight gradient is g's
-    gathered matrix times x's transpose, taps flipped back, at stride 1;
-    otherwise g times x's rebuilt column matrix (a view on the pointwise
-    path).
+    The forward is _conv_gemm of x; the tape keeps x's array, not its
+    column matrix, when the weight needs a gradient. The input gradient
+    is the _adjoint of the output gradient g, whose chunks at stride 1
+    give the weight gradient too (taps flipped back); otherwise that is g
+    times x's rebuilt column matrix.
     """
     _check_conv("conv2d", x, weight, bias, transposed=False)
     s, d, p = _pair(stride), _pair(dilation), _pair(padding)
@@ -425,8 +431,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     co, _, kh, kw = wd.shape
     ho = conv_out_size(h, kh, s[0], d[0], p[0])
     wo = conv_out_size(w, kw, s[1], d[1], p[1])
-    out = _conv_forward(x.data, wd.reshape(co, -1), (kh, kw), s, d, p, (ho, wo))
-    out = out.reshape(n, co, ho, wo)
+    out = _conv_gemm(x.data, wd.reshape(co, -1), (kh, kw), s, d, p, (ho, wo))[0]
     if bias is not None:
         out += bias.data
     xd = x.data if weight.requires_grad else None
@@ -434,14 +439,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     def backward(grad):
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1), owned=True)
-        dx, gathered = _adjoint(grad, wd, s, d, p, (h, w)) if x.requires_grad else (None, None)
+        dx, dw = _adjoint(grad, wd, s, d, p, (h, w), xd) if x.requires_grad else (None, None)
+        if dw is not None:
+            dw = dw.reshape(co, kh, kw, ci)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+        elif weight.requires_grad:
+            dw = _conv_gemm(xd, None, (kh, kw), s, d, p, (ho, wo), grad, lead=True)[1]
         if weight.requires_grad:
-            if gathered is not None:
-                dw = np.matmul(gathered, xd.reshape(n, ci, h * w).transpose(0, 2, 1)).sum(axis=0)
-                dw = dw.reshape(co, kh, kw, ci)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
-            else:
-                cols = _columns(xd, (kh, kw), s, d, p, (ho, wo))
-                dw = np.matmul(grad.reshape(n, co, -1), cols.transpose(0, 2, 1)).sum(axis=0)
             weight._accumulate(np.ascontiguousarray(dw).reshape(wd.shape), owned=True)
         if dx is not None:
             x._accumulate(dx, owned=True)
@@ -456,11 +459,9 @@ def conv2d_transpose(x: Tensor, weight: Tensor, out_hw, stride=1, dilation=1,
 
     weight is (c_in, c_out, kh, kw), the weight of the conv from this op's
     output grid to its input grid; out_hw is that conv's input extent,
-    checked by tconv_out_hw. The forward is that conv's _adjoint of x:
-    one gather of x at stride 1, a _col2im scatter when strided. The
-    backward is the conv itself: the weight times the output gradient's
-    column matrix, and that matrix times x's transpose is the weight
-    gradient.
+    checked by tconv_out_hw. The forward is that conv's _adjoint of x.
+    The backward is the conv itself, _conv_gemm of the output gradient,
+    whose chunks give the weight gradient too.
     """
     _check_conv("conv2d_transpose", x, weight, None, transposed=True)
     s, d, p = _pair(stride), _pair(dilation), _pair(padding)
@@ -471,13 +472,12 @@ def conv2d_transpose(x: Tensor, weight: Tensor, out_hw, stride=1, dilation=1,
     xd = x.data if weight.requires_grad else None
 
     def backward(grad):
-        gcol = _columns(grad, (kh, kw), s, d, p, (h, w))
-        if weight.requires_grad:
-            dw = np.matmul(gcol, xd.reshape(n, ci, h * w).transpose(0, 2, 1)).sum(axis=0)
+        dx, dw = _conv_gemm(grad, wd.reshape(ci, -1) if x.requires_grad else None, (kh, kw),
+                            s, d, p, (h, w), xd)
+        if dw is not None:
             weight._accumulate(dw.T.reshape(wd.shape), owned=True)
-        if x.requires_grad:
-            dx = np.matmul(wd.reshape(ci, -1), gcol)
-            x._accumulate(dx.reshape(n, ci, h, w), owned=True)
+        if dx is not None:
+            x._accumulate(dx, owned=True)
 
     return _result(out, (x, weight), backward)
 
@@ -645,8 +645,7 @@ def avg_pool2d(x: Tensor, window=2, stride=None, dilation=1, padding=(0, 0, 0, 0
     dh, dw = _pair(dilation)
     pt, pb, pl, pr = (int(v) for v in padding)
     n, c, h, w = x.data.shape
-    ho = conv_out_size(h + pt + pb, wh, sh, dh, 0)
-    wo = conv_out_size(w + pl + pr, ww, sw, dw, 0)
+    ho, wo = pool_out_hw((h, w), (wh, ww), (sh, sw), (dh, dw), (pt, pb, pl, pr))
     acc = np.zeros((n, c, ho, wo), dtype=np.float64)
     for _, _, oi, oj, ii, ij in _taps(h, w, ho, wo, wh, ww, sh, sw, dh, dw, pt, pl):
         acc[:, :, oi, oj] += x.data[:, :, ii, ij]
@@ -656,7 +655,8 @@ def avg_pool2d(x: Tensor, window=2, stride=None, dilation=1, padding=(0, 0, 0, 0
     def backward(grad):
         if x.requires_grad:
             gcol = np.broadcast_to((grad / (wh * ww))[:, :, None, None], (n, c, wh, ww, ho, wo))
-            x._accumulate(_col2im(gcol, h, w, wh, ww, sh, sw, dh, dw, pt, pl), owned=True)
+            dx = np.zeros((n, c, h, w), dtype=grad.dtype)
+            x._accumulate(_col2im(gcol, dx, wh, ww, sh, sw, dh, dw, pt, pl), owned=True)
 
     return _result(out, (x,), backward)
 

@@ -17,13 +17,13 @@ from sunet.unet import module_graph
 def chain_graph():
     g = NetworkGraph(1, (32, 32))
     g.add("c1", "conv", ["input"], cin=1, cout=4, k=(3, 3), s=(1, 1),
-          d=(1, 1), p=(1, 1), bias=False)
+          d=(1, 1), p=(1, 1))
     g.add("c2", "conv", ["c1"], cin=4, cout=4, k=(3, 3), s=(1, 1),
-          d=(1, 1), p=(1, 1), bias=False)
+          d=(1, 1), p=(1, 1))
     g.add("c3", "conv", ["c2"], cin=4, cout=4, k=(3, 3), s=(2, 2),
-          d=(1, 1), p=(1, 1), bias=False)
+          d=(1, 1), p=(1, 1))
     g.add("c4", "conv", ["c3"], cin=4, cout=4, k=(3, 3), s=(1, 1),
-          d=(1, 1), p=(1, 1), bias=False)
+          d=(1, 1), p=(1, 1))
     return g
 
 
@@ -40,7 +40,7 @@ def test_rf_grows_along_plain_chain():
 def test_dilation_scales_rf_like_stride():
     g = NetworkGraph(1, (32, 32))
     g.add("c1", "conv", ["input"], cin=1, cout=1, k=(3, 3), s=(1, 1),
-          d=(4, 4), p=(4, 4), bias=False)
+          d=(4, 4), p=(4, 4))
     rf = receptive_field(g)
     assert rf["c1"][0].rf == 9
     assert rf["c1"][0].jump == 1
@@ -116,9 +116,9 @@ def test_report_csv_has_header_and_rows():
 def test_merge_with_unequal_jumps_rejected():
     g = NetworkGraph(1, (16, 16))
     g.add("a", "conv", ["input"], cin=1, cout=1, k=(3, 3), s=(2, 2),
-          d=(1, 1), p=(1, 1), bias=False)
+          d=(1, 1), p=(1, 1))
     g.add("b", "conv", ["input"], cin=1, cout=1, k=(3, 3), s=(1, 1),
-          d=(1, 1), p=(1, 1), bias=False)
+          d=(1, 1), p=(1, 1))
     with pytest.raises(GraphError):
         g.add("m", "add", ["a", "b"])
         receptive_field(g)
@@ -159,7 +159,7 @@ def test_dump_activations_container_holds_collected_values(tmp_path, dtype):
 def test_dump_activations_picks_strongest_channel(tmp_path):
     g = NetworkGraph(2, (8, 8))
     g.add("c1", "conv", ["input"], cin=2, cout=3, k=(1, 1), s=(1, 1),
-          d=(1, 1), p=(0, 0), bias=False, level=1)
+          d=(1, 1), p=(0, 0), level=1)
     net = Network(g, seed=0)
     w = np.zeros((3, 2, 1, 1), dtype=np.float32)
     w[2, 0, 0, 0] = 5.0  # channel 2 dominates

@@ -113,6 +113,12 @@ BN = "node b1 bn_relu in=input c=3\n"
      "node 'c1': attribute 's' must be a pair of positive integers, got (0, 0)"),
     ("input c=3 h=16 w=16", CONV.replace("cout=8", "cout=0"),
      "node 'c1': attribute 'cout' must be a positive integer, got 0"),
+    # no kind or tag takes a float: the raw token fails its form check
+    ("input c=3 h=16 w=16", CONV.replace("cout=8", "cout=2.5"),
+     "node 'c1': attribute 'cout' must be a positive integer, got '2.5'"),
+    # a bias-free conv has one spelling: no bias attribute
+    ("input c=3 h=16 w=16", CONV.replace("\n", " bias=0\n"),
+     "node 'c1': attribute 'bias' must be 1, got 0"),
     # a bn_relu runs at batchnorm's own decay and eps and states neither
     ("input c=3 h=16 w=16", BN.replace("\n", " decay=nan\n"),
      "node 'b1': bn_relu has no attribute 'decay'"),
@@ -133,7 +139,7 @@ BN = "node b1 bn_relu in=input c=3\n"
      "node 'c1': conv has no attribute 'dilation'"),
 ], ids=["node-name-only", "conv-without-cin", "input-without-w", "bare-token",
         "conv-without-input", "conv-with-two-inputs", "add-with-one-input",
-        "int-kernel", "zero-stride", "zero-cout", "nan-decay", "negative-eps",
+        "int-kernel", "zero-stride", "zero-cout", "float-cout", "conv-bias-zero", "nan-decay", "negative-eps",
         "bn-channels-differ", "zero-keep", "keep-above-period", "level-not-an-int", "role-not-skip",
         "unknown-attribute"])
 def test_malformed_graph_file_exits_1(tmp_path, capsys, input_line, node_line,

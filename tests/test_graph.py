@@ -18,7 +18,7 @@ from sunet.training import TrainConfig, train
 def small_graph():
     g = NetworkGraph(3, (16, 16))
     g.add("c1", "conv", ["input"], cin=3, cout=8, k=(3, 3), s=(2, 2),
-          d=(1, 1), p=(1, 1), bias=False, stage="conv1", level=1)
+          d=(1, 1), p=(1, 1), stage="conv1", level=1)
     g.add("b1", "bn_relu", ["c1"], c=8)
     g.meta["kind"] = "test"
     return g

@@ -6,6 +6,7 @@ import pytest
 from sunet import tensor as T
 from sunet.arch import build_classifier, toy_config
 from sunet.runtime import Network
+from sunet.segment import SegmentationConfig, to_segmentation
 from sunet.tensor import EngineError, Tensor
 
 
@@ -850,76 +851,142 @@ def test_tconv_forward_gathers_at_stride1_and_scatters_when_strided(monkeypatch,
     assert calls == [("_im2col", out.data.shape)]
 
 
-# ------------------------------------------- conv2d's chunked column matrix
-# Above T.COLUMN_BUDGET bytes the forward builds x's column matrix in
-# chunks: groups of whole samples, or bands of output rows of one sample.
-# The tests shrink the budget to put chunk boundaries where they bite.
+# ------------------------------------------------ chunked conv matrices
+# Above T.COLUMN_BUDGET bytes every conv matrix is built in chunks: groups
+# of whole samples, or bands of output rows of one sample. The tests
+# shrink the budget to put chunk boundaries where they bite.
 
-def _spy_columns(monkeypatch):
-    """Record the shape of each matrix _im2col returns."""
+def _spy_matrices(monkeypatch):
+    """Record the shape of each matrix _im2col returns and of each patch
+    matrix _col2im scatters. A pool scatters a broadcast view of its
+    gradient, which holds no matrix, so it is not recorded."""
     shapes = []
 
-    def wrapped(*args, _fn=T._im2col):
+    def gather(*args, _fn=T._im2col):
         col = _fn(*args)
         shapes.append(col.shape)
         return col
 
-    monkeypatch.setattr(T, "_im2col", wrapped)
+    def scatter(col, *args, _fn=T._col2im):
+        if 0 not in col.strides:
+            shapes.append(col.shape)
+        return _fn(col, *args)
+
+    monkeypatch.setattr(T, "_im2col", gather)
+    monkeypatch.setattr(T, "_col2im", scatter)
     return shapes
 
 
-# (n, k, s, d, p, chunk): chunk is ("rows", R) for bands of R output rows
-# of one sample, ("samples", G) for groups of G whole samples
+def _fit(shapes, budget, itemsize):
+    """Whether every (m, c, kh, kw, rows, wo) matrix fits the budget or is
+    a one-row band of one sample."""
+    return all(itemsize * int(np.prod(sh)) <= budget or sh[0] == sh[4] == 1
+               for sh in shapes)
+
+
+# (op, n, k, s, d, p, chunk): chunk is ("rows", R) for bands of R output
+# rows of one sample of the forward's matrix, ("samples", G) for groups of
+# G whole samples. A conv reads (n, 3, 11, 9); a tconv reads (n, 3, 7, 5)
+# and restores the largest extent its stride allows.
 CHUNK_CASES = {
-    "one-row band": (2, 3, 1, 1, 1, ("rows", 1)),
+    "one-row band": ("conv", 2, 3, 1, 1, 1, ("rows", 1)),
     # taps span input rows i-4..i: two bands read the top pad, two the bottom
-    "bands split the pads": (2, 3, 1, 2, 4, ("rows", 2)),
-    "stride 2": (2, 3, 2, 1, 1, ("rows", 2)),
-    "dilation 2": (2, 3, 1, 2, 2, ("rows", 3)),
-    "7x7 stride-2 stem": (2, 7, 2, 1, 3, ("rows", 2)),
+    "bands split the pads": ("conv", 2, 3, 1, 2, 4, ("rows", 2)),
+    "stride 2": ("conv", 2, 3, 2, 1, 1, ("rows", 2)),
+    "dilation 2": ("conv", 2, 3, 1, 2, 2, ("rows", 3)),
+    "7x7 stride-2 stem": ("conv", 2, 7, 2, 1, 3, ("rows", 2)),
     # the first and last output rows read only padding
-    "bands of padding only": (1, 1, 1, 1, 2, ("rows", 1)),
-    "short last sample group": (5, 3, 1, 1, 1, ("samples", 2)),
+    "bands of padding only": ("conv", 1, 1, 1, 1, 2, ("rows", 1)),
+    "short last sample group": ("conv", 5, 3, 1, 1, 1, ("samples", 2)),
+    # the stride-1 tconv gathers x over its output extent with negative
+    # pads, the strided one scatters bands of its patch matrix into
+    # overlapping input rows
+    "tconv stride 1 bands": ("tconv", 2, 3, 1, 2, 1, ("rows", 2)),
+    "tconv stride 1 sample groups": ("tconv", 5, 3, 1, 1, 1, ("samples", 2)),
+    "tconv stride 2 bands": ("tconv", 2, 3, 2, 1, 1, ("rows", 2)),
+    "tconv stride 2 sample groups": ("tconv", 5, 3, 2, 2, 2, ("samples", 2)),
 }
 
 
-@pytest.mark.parametrize("n,k,s,d,p,chunk", CHUNK_CASES.values(), ids=CHUNK_CASES.keys())
-def test_chunked_conv_matches_nested_loop_oracle(monkeypatch, n, k, s, d, p, chunk):
-    rng = np.random.default_rng(5000 + 100 * k + 10 * s + d + p + n)
-    x = t64(rng.normal(size=(n, 3, 11, 9)), grad=False)
-    w = t64(rng.normal(size=(4, 3, k, k)), grad=False)
-    ho, wo = T.conv_out_size(11, k, s, d, p), T.conv_out_size(9, k, s, d, p)
-    row = 3 * k * k * wo * 8
+@pytest.mark.parametrize("op,n,k,s,d,p,chunk", CHUNK_CASES.values(), ids=CHUNK_CASES.keys())
+def test_chunked_conv_matches_nested_loop_oracle(monkeypatch, op, n, k, s, d, p, chunk):
+    rng = np.random.default_rng(5000 + 100 * k + 10 * s + d + p + n + 50 * (op == "tconv"))
+    if op == "conv":
+        x = t64(rng.normal(size=(n, 3, 11, 9)))
+        w = t64(rng.normal(size=(4, 3, k, k)))
+        # the forward's column matrix: c channels over an (ho, wo) grid
+        c, ho, wo = 3, T.conv_out_size(11, k, s, d, p), T.conv_out_size(9, k, s, d, p)
+    else:
+        x = t64(rng.normal(size=(n, 3, 7, 5)))
+        w = t64(rng.normal(size=(3, 4, k, k)))
+        out_hw = (_tconv_base(7, k, s, d, p) + s - 1, _tconv_base(5, k, s, d, p) + s - 1)
+        # stride 1 gathers x over the output extent, strided scatters the
+        # (n, 4*k*k, 7*5) patch matrix
+        c, ho, wo = (3, *out_hw) if s == 1 else (4, 7, 5)
     kind, size = chunk
-    monkeypatch.setattr(T, "COLUMN_BUDGET", size * row * (ho if kind == "samples" else 1))
-    shapes = _spy_columns(monkeypatch)
-    out = T.conv2d(x, w, stride=s, dilation=d, padding=p)
-    _close(out.data, naive_conv(x.data, w.data, s, d, p)[0])
+    budget = size * c * k * k * wo * 8 * (ho if kind == "samples" else 1)
+    monkeypatch.setattr(T, "COLUMN_BUDGET", budget)
+    shapes = _spy_matrices(monkeypatch)
+    if op == "conv":
+        out = T.conv2d(x, w, stride=s, dilation=d, padding=p)
+    else:
+        out = T.conv2d_transpose(x, w, out_hw, stride=s, dilation=d, padding=p)
     if kind == "rows":
         bands = [min(size, ho - r) for r in range(0, ho, size)]
-        assert shapes == [(1, 3, k, k, b, wo) for _ in range(n) for b in bands]
+        assert shapes == [(1, c, k, k, b, wo) for _ in range(n) for b in bands]
     else:
         groups = [min(size, n - i) for i in range(0, n, size)]
-        assert shapes == [(g, 3, k, k, ho, wo) for g in groups]
+        assert shapes == [(g, c, k, k, ho, wo) for g in groups]
+    del shapes[:]
+    g, (dx, dw) = _engine_grads(out, rng, x, w)
+    if op == "conv":
+        want = naive_conv(x.data, w.data, s, d, p, g)
+    else:
+        want = naive_tconv(x.data, w.data, s, d, p, s - 1, g)
+    for got, expected in zip((out.data, dx, dw), want):
+        _close(got, expected)
+    # the backward's matrices are chunked by the same plan
+    assert len(shapes) > 1 and _fit(shapes, budget, 8), shapes
 
 
 def test_forward_column_matrices_fit_the_budget(monkeypatch):
-    # the strided classifier runs no stride-1 tconv, whose gather is not
-    # chunked, so every _im2col of a no-grad forward is a conv2d chunk
     budget = 6 << 10
     monkeypatch.setattr(T, "COLUMN_BUDGET", budget)
-    shapes = _spy_columns(monkeypatch)
+    shapes = _spy_matrices(monkeypatch)
     net = Network(build_classifier(toy_config(8), input_hw=(64, 64)), seed=0)
     x = np.random.default_rng(520).normal(size=(2, 3, 64, 64)).astype(np.float32)
     with T.no_grad():
         net.forward(x)
-    nbytes = [4 * int(np.prod(sh)) for sh in shapes]
-    one_row = [sh[0] == 1 and sh[4] == 1 for sh in shapes]
-    assert all(b <= budget or r for b, r in zip(nbytes, one_row)), shapes
+    assert _fit(shapes, budget, 4), shapes
     # all three kinds occur: over-budget single rows, bands, sample groups
+    nbytes = [4 * int(np.prod(sh)) for sh in shapes]
     assert any(b > budget for b in nbytes)
     assert any(sh[0] == 1 and 1 < sh[4] for sh in shapes)
     assert any(sh[0] == 2 for sh in shapes)
+
+
+@pytest.mark.parametrize("output_stride", [None, 8], ids=["strided classifier", "os8 multigrid"])
+def test_every_conv_matrix_fits_the_budget(monkeypatch, output_stride):
+    # a no-grad forward and a training step: the multigrid up-convs
+    # (stride-1 tconvs) gather, the strided convs and tconvs scatter, and
+    # the backward gathers gradients and rebuilds column matrices
+    graph = build_classifier(toy_config(8), input_hw=(64, 64))
+    if output_stride is not None:
+        graph = to_segmentation(graph, SegmentationConfig(num_classes=3,
+                                                          output_stride=output_stride))
+    net = Network(graph, seed=0)
+    rng = np.random.default_rng(540)
+    x = rng.normal(size=(2, 3, 64, 64)).astype(np.float32)
+    budget = 6 << 10
+    monkeypatch.setattr(T, "COLUMN_BUDGET", budget)
+    shapes = _spy_matrices(monkeypatch)
+    with T.no_grad():
+        net.forward(x)
+    out = net.forward(x, training=True)
+    labels = rng.integers(0, out.data.shape[1], size=(2, *out.data.shape[2:]))
+    T.softmax_cross_entropy(out, labels).backward()
+    assert _fit(shapes, budget, 4), max(shapes, key=np.prod)
+    assert all(p.grad is not None for p in net.params.values())
 
 
 def test_sample_group_chunks_are_bit_equal_to_the_whole_batch(monkeypatch):
@@ -928,7 +995,7 @@ def test_sample_group_chunks_are_bit_equal_to_the_whole_batch(monkeypatch):
     w = Tensor(rng.normal(size=(6, 8, 3, 3)).astype(np.float32))
     whole = T.conv2d(x, w, padding=1).data
     monkeypatch.setattr(T, "COLUMN_BUDGET", 2 * 8 * 9 * 12 * 10 * 4)
-    shapes = _spy_columns(monkeypatch)
+    shapes = _spy_matrices(monkeypatch)
     chunked = T.conv2d(x, w, padding=1).data
     assert [sh[0] for sh in shapes] == [2, 2, 1]
     assert chunked.tobytes() == whole.tobytes()

@@ -57,7 +57,7 @@ def conv_graph(hw=(32, 32), classes=2, width=16):
     """Two 3x3 convs around a BN-ReLU: the tape dominates the memory."""
     g = NetworkGraph(3, hw)
     g.add("c1", "conv", ["input"], cin=3, cout=width, k=(3, 3), s=(1, 1),
-          d=(1, 1), p=(1, 1), bias=False)
+          d=(1, 1), p=(1, 1))
     g.add("bn", "bn_relu", ["c1"], c=width)
     g.add("cls", "conv", ["bn"], cin=width, cout=classes, k=(3, 3),
           s=(1, 1), d=(1, 1), p=(1, 1), bias=True)
