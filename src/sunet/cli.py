@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import re
 import sys
 
 import numpy as np
@@ -37,16 +38,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _hw(text: str) -> tuple[int, int]:
-    parts = text.lower().replace("x", ",").split(",")
-    try:
-        vals = [int(p) for p in parts if p != ""]
-    except ValueError:
+    """N, HxW or H,W."""
+    m = re.fullmatch(r"(\d+)(?:[x,](\d+))?", text.lower())
+    hw = (int(m[1]), int(m[2] or m[1])) if m else None
+    if hw is None or min(hw) < 1:
         raise argparse.ArgumentTypeError(f"bad size {text!r}")
-    if len(vals) == 1:
-        vals = vals * 2
-    if len(vals) != 2 or min(vals) < 1:
-        raise argparse.ArgumentTypeError(f"bad size {text!r}")
-    return (vals[0], vals[1])
+    return hw
 
 
 def _pair(conv, what):

@@ -156,6 +156,9 @@ def predict_labels(net, image: np.ndarray, scales=(1.0,),
 
 def evaluate(net, dataset: Dataset, scales=(1.0,), flip: bool = False) -> dict:
     """mIoU of a network over a dataset; returns metrics plus the matrix."""
+    out_c = net.graph.infer_shapes()[net.graph.output][0]
+    if out_c != dataset.classes:
+        raise EvalError(f"graph outputs {out_c} classes, dataset has {dataset.classes}")
     cm = ConfusionMatrix(dataset.classes, dataset.ignore_index)
     for img, mask in zip(dataset.images, dataset.masks):
         pred = predict_labels(net, normalize_image(img), scales, flip)

@@ -51,15 +51,40 @@ So a tensor whose values are released (Tensor.release) still carries
 its gradient through the tape. The tape is consumed once: backward()
 frees each interior node's gradient, closure and parents as soon as the
 node has propagated, so the arrays its closure kept go with it.
+
+Importing the engine sets glibc's allocator to keep freed memory mapped
+(mmap threshold 32 MiB, trim threshold 64 MiB, the values its dynamic
+rule reaches after one 32 MiB block), so a step's arrays come back from
+a heap that is already faulted in rather than page-faulting anew each
+step; on another libc this does nothing.
 """
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
+import os
 
 import numpy as np
 
 FLOAT_DTYPES = (np.float32, np.float64)
+
+
+def _keep_freed_memory_mapped() -> None:
+    """Serve blocks under 32 MiB from the heap, and trim the heap only
+    past 64 MiB free at its top; a libc that is not glibc is left as it
+    is."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
+
+
+_keep_freed_memory_mapped()
 
 
 class EngineError(ValueError):

@@ -124,8 +124,9 @@ def train(net: Network, dataset, cfg: TrainConfig, out_dir=None) -> dict:
     """Run the loop; returns {"rows": [(iter, lr, loss)], "checkpoint": path}.
 
     dataset provides images (uint8 (3, h, w)), masks (uint8 (h, w)), a
-    length and ignore_index: the label the loss skips, and the one
-    augmentation fills uncovered positions with. With out_dir set,
+    length, classes (the graph's output channels must match it) and
+    ignore_index: the label the loss skips, and the one augmentation
+    fills uncovered positions with. With out_dir set,
     writes loss.csv, periodic ckpt_NNNNNN.sunc when checkpoint_every > 0,
     and a final checkpoint.sunc (which for a 0-iteration run is just the
     initialization).
@@ -142,6 +143,9 @@ def train(net: Network, dataset, cfg: TrainConfig, out_dir=None) -> dict:
     """
     if len(dataset) == 0:
         raise TrainError("empty dataset")
+    out_c = net.graph.infer_shapes()[net.graph.output][0]
+    if out_c != dataset.classes:
+        raise TrainError(f"graph outputs {out_c} classes, dataset has {dataset.classes}")
     if cfg.augment is None:
         # without augmentation the batch stacks the images as they are
         size = dataset.images[0].shape[1:]

@@ -10,6 +10,8 @@ from sunet.arch import build_classifier, toy_config
 from sunet.cli import main
 from sunet.graph import GRAPH_HEADER, NetworkGraph
 from sunet.io import read_pgm
+from sunet.runtime import Network
+from sunet.training import save_checkpoint
 
 
 def run(capsys, *argv):
@@ -43,6 +45,14 @@ def test_bad_config_exits_1(capsys):
     rc, _, err = run(capsys, "analyze", "--toy", "0", "--input-hw", "64")
     assert rc == 1
     assert "error:" in err
+
+
+# a size is N, HxW or H,W: no empty part stands for a number
+@pytest.mark.parametrize("size", ["3x", "x3", "64x64x", "3,,4"])
+def test_malformed_size_exits_1(capsys, size):
+    rc, _, err = run(capsys, "analyze", "--toy", "8", "--input-hw", size)
+    assert rc == 1
+    assert f"bad size {size!r}" in err
 
 
 def test_analyze_report(capsys):
@@ -406,6 +416,23 @@ def test_dump_activations_bad_index(pipeline, capsys):
                      "--out", "/tmp/unused")
     assert rc == 1
     assert "index 99" in err
+
+
+# the pipeline's data has 3 classes; convert makes 21 without --classes
+@pytest.mark.parametrize("classes", [None, "2"], ids=["default-21", "two"])
+@pytest.mark.parametrize("cmd", ["train", "eval"])
+def test_graph_classes_differ_from_the_data_exits_1(pipeline, tmp_path, capsys,
+                                                     cmd, classes):
+    graph = str(tmp_path / "seg.graph")
+    assert main(["convert", "--graph", pipeline["clf"], "--output-stride", "16",
+                 "--out", graph, *(["--classes", classes] if classes else [])]) == 0
+    ckpt = str(tmp_path / "init.sunc")
+    save_checkpoint(ckpt, Network(NetworkGraph.parse(Path(graph).read_text())))
+    extra = (["--out", str(tmp_path / "run"), "--iters", "1", "--batch-size", "2"]
+             if cmd == "train" else ["--checkpoint", ckpt])
+    rc, _, err = run(capsys, cmd, "--graph", graph, "--data", pipeline["manifest"], *extra)
+    assert rc == 1
+    assert f"graph outputs {classes or 21} classes, dataset has 3" in err
 
 
 def test_eval_checkpoint_digest_mismatch(pipeline, capsys):

@@ -323,6 +323,7 @@ def test_loss_forward_backward_peak_is_a_small_multiple_of_the_logits():
 class ListDataset:
     def __init__(self, images, masks):
         self.images, self.masks, self.ignore_index = images, masks, 255
+        self.classes = 4
 
     def __len__(self):
         return len(self.images)
@@ -396,7 +397,7 @@ class _Images:
                        for _ in range(n)]
         self.masks = [rng.integers(0, classes, size=hw).astype(np.uint8)
                       for _ in range(n)]
-        self.ignore_index = 255
+        self.classes, self.ignore_index = classes, 255
 
     def __len__(self):
         return len(self.images)
