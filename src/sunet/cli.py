@@ -20,8 +20,8 @@ from .data import (Dataset, SyntheticSpec, generate_synthetic, load_manifest,
                    normalize_image)
 from .graph import NetworkGraph
 from .io import DataError, write_pgm
-from .metrics import (SCALE_PRESETS, EvalError, evaluate, format_metrics,
-                      metrics_csv, predict_labels)
+from .metrics import (SCALE_PRESETS, EvalError, check_classes, evaluate,
+                      format_metrics, metrics_csv, predict_labels)
 from .optim import OptimizerConfig
 from .runtime import Network
 from .segment import SegmentationConfig, to_segmentation
@@ -218,6 +218,7 @@ def _cmd_eval(args) -> int:
 def _cmd_infer(args) -> int:
     net = _network_from_files(args)
     ds = Dataset(load_manifest(_default_data(args)))
+    check_classes(net, ds)
     os.makedirs(args.out, exist_ok=True)
     for i, img in enumerate(ds.images):
         pred = predict_labels(net, normalize_image(img),

@@ -154,11 +154,16 @@ def predict_labels(net, image: np.ndarray, scales=(1.0,),
     return np.argmax(probs, axis=0).astype(np.uint8)
 
 
-def evaluate(net, dataset: Dataset, scales=(1.0,), flip: bool = False) -> dict:
-    """mIoU of a network over a dataset; returns metrics plus the matrix."""
+def check_classes(net, dataset: Dataset) -> None:
+    """Raise EvalError unless the graph outputs the dataset's class count."""
     out_c = net.graph.infer_shapes()[net.graph.output][0]
     if out_c != dataset.classes:
         raise EvalError(f"graph outputs {out_c} classes, dataset has {dataset.classes}")
+
+
+def evaluate(net, dataset: Dataset, scales=(1.0,), flip: bool = False) -> dict:
+    """mIoU of a network over a dataset; returns metrics plus the matrix."""
+    check_classes(net, dataset)
     cm = ConfusionMatrix(dataset.classes, dataset.ignore_index)
     for img, mask in zip(dataset.images, dataset.masks):
         pred = predict_labels(net, normalize_image(img), scales, flip)

@@ -22,30 +22,33 @@ stride 1 and scatters when strided; a backward that gathers a matrix
 takes the weight gradient from the same chunks.
 
 A backward closure keeps only the arrays it reads, captured when the op
-runs, and never reads a parent's values later:
+runs, and never reads a parent's values later but through a rebuild
+function. A fused batchnorm's output has one on a tape, recomputing it
+bit for bit from what the batchnorm keeps; an op that keeps its input
+keeps that function in the array's place and calls it in backward:
 - conv2d keeps x's array when the weight needs a gradient, and pairs it
   in backward with the gathered output gradient (stride 1) or with its
   rebuilt column matrix (the pointwise path keeps a view of x, which is
   its matrix);
 - conv2d_transpose keeps x's array when the weight needs a gradient,
   and pairs it with the column matrix of the output gradient;
-- batchnorm keeps x's array in both modes (its backward recomputes
-  the centred copy in training mode), and with relu=True also its own
-  output, whose sign is the ReLU mask;
+- batchnorm keeps x's array in both modes; its backward recomputes the
+  centred copy in training mode, and with relu=True takes the ReLU mask
+  from the sign of the recomputed pre-clamp output;
 - relu keeps a boolean mask of its positive outputs;
 - phase_mask keeps its 0/1 mask;
 - softmax_cross_entropy keeps its exponentials, which its backward
   sums again and turns in place into the logits' gradient;
 - add, concat_channels, the pools and bilinear_upsample keep no
   activation.
-Kept arrays are shared, not copied: the output a fused batchnorm keeps
-is the input the next conv keeps, and the x a batchnorm keeps is the
-array a module's skip conv, reading the same input, keeps too. So no
-op writes into its inputs or into an array it has returned. A closure
-owns the gradient it is handed (backward() gives each node a private
-array) and may overwrite it, or hand it on to one parent; it writes
-into no other array it keeps except a copy of its own, such as the
-loss's exponentials.
+Kept arrays are shared, not copied: the x a batchnorm keeps is the
+output of the conv before it, and the array a module's skip conv,
+reading the same input, keeps too. So no op writes into its inputs or
+into an array it has returned. A closure owns the gradient it is handed
+(backward() gives each node a private array) and may overwrite it, or
+hand it on to one parent; it writes into no other array it keeps except
+a copy of its own, such as the loss's exponentials, and into no array a
+rebuild function returns to it but its own.
 
 So a tensor whose values are released (Tensor.release) still carries
 its gradient through the tape. The tape is consumed once: backward()
@@ -109,7 +112,7 @@ def no_grad():
 class Tensor:
     """A 4-D array plus an optional gradient and tape hook."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_rebuild")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -125,6 +128,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = ()
         self._backward = None
+        self._rebuild = None    # a tape node's function recomputing data, or None
 
     @property
     def shape(self):
@@ -212,7 +216,7 @@ class Tensor:
                 continue
             if node.grad is not None:
                 node._backward(node.grad)
-            node.grad, node._backward, node._parents = None, _spent, ()
+            node.grad, node._backward, node._parents, node._rebuild = None, _spent, (), None
 
 
 def _spent(grad) -> None:
@@ -225,13 +229,19 @@ def _taping(parents) -> bool:
     return _grad_enabled and any(p.requires_grad for p in parents)
 
 
-def _result(data: np.ndarray, parents, backward) -> Tensor:
+def _result(data: np.ndarray, parents, backward, rebuild=None) -> Tensor:
     out = Tensor(data)
     if _taping(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
+        out._rebuild = rebuild
     return out
+
+
+def _values(keep) -> np.ndarray:
+    """An input's values from what a closure kept: its array or rebuild function."""
+    return keep() if callable(keep) else keep
 
 
 def _check_dtype(op: str, *tensors: Tensor) -> np.dtype:
@@ -459,11 +469,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     out = _conv_gemm(x.data, wd.reshape(co, -1), (kh, kw), s, d, p, (ho, wo))[0]
     if bias is not None:
         out += bias.data
-    xd = x.data if weight.requires_grad else None
+    keep = (x._rebuild or x.data) if weight.requires_grad else None
 
     def backward(grad):
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1), owned=True)
+        xd = _values(keep)
         dx, dw = _adjoint(grad, wd, s, d, p, (h, w), xd) if x.requires_grad else (None, None)
         if dw is not None:
             dw = dw.reshape(co, kh, kw, ci)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
@@ -494,11 +505,11 @@ def conv2d_transpose(x: Tensor, weight: Tensor, out_hw, stride=1, dilation=1,
     wd = weight.data
     kh, kw = wd.shape[2:]
     out = _adjoint(x.data, wd, s, d, p, tconv_out_hw((h, w), out_hw, (kh, kw), s, d, p))[0]
-    xd = x.data if weight.requires_grad else None
+    keep = (x._rebuild or x.data) if weight.requires_grad else None
 
     def backward(grad):
         dx, dw = _conv_gemm(grad, wd.reshape(ci, -1) if x.requires_grad else None, (kh, kw),
-                            s, d, p, (h, w), xd)
+                            s, d, p, (h, w), _values(keep))
         if dw is not None:
             weight._accumulate(dw.T.reshape(wd.shape), owned=True)
         if dx is not None:
@@ -598,10 +609,11 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
     own that it then overwrites.
 
     With relu, the op is relu(batchnorm(...)) in one: the output is
-    clamped in place, and the backward takes the ReLU mask from the
-    sign of that output, which the tape keeps (it is the array the next
-    op reads), instead of a separate mask. Results are bit-equal to the
-    two ops run apart.
+    clamped in place, and the tape keeps neither it nor a mask: the
+    backward takes the mask from the sign of xc * scale + shift, by the
+    forward's ops on the xc it recomputes, and the output's rebuild
+    function runs those ops too. Results are bit-equal to the two ops
+    run apart.
     """
     _check_dtype("batchnorm", x, gamma, beta)
     n, c, h, w = x.data.shape
@@ -623,23 +635,33 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
         running_var *= decay
         running_var += (1.0 - decay) * var
     else:
-        offset, var = running_mean, running_var
+        xc, offset, var = xd, running_mean, running_var
     inv = 1.0 / np.sqrt(var + eps)
     scale64 = gamma.data * inv
     scale = scale64.astype(dt)
-    out = np.multiply(xc, scale, out=xc) if training else xd * scale
-    out += (beta.data - offset * scale64).astype(dt)
-    activated = None
-    if relu:
-        activated = np.maximum(out, 0, out=out)
+    shift = (beta.data - offset * scale64).astype(dt)
+    keep = x._rebuild or xd
+
+    def affine(xc, into=None):
+        # xc * scale + shift, by the same ops each time
+        out = np.multiply(xc, scale, out=into)
+        out += shift
+        return out
+
+    def activate(xc):
+        # the output, written into xc's buffer unless xc is x's values
+        out = affine(xc, xc if training else None)
+        return np.maximum(out, 0, out=out) if relu else out
+
+    out = activate(xc)
 
     def backward(grad):
-        # grad is this closure's own array, so it is overwritten in place
-        if activated is not None:
-            np.multiply(grad, activated > 0, out=grad)
-        # the centred copy again, by the forward's subtraction, and owned
-        # here; eval mode reads x's array itself, kept intact
-        xc = xd - centre if training else xd
+        # grad is this closure's own array, so it is overwritten in place;
+        # xc is the centred copy again, by the forward's subtraction, and
+        # owned here (eval mode reads x's values themselves, kept intact)
+        xc = _values(keep) - centre if training else _values(keep)
+        if relu:
+            np.multiply(grad, affine(xc) > 0, out=grad)
         gsum = _channel_sum(grad)
         gdot = _channel_dot(grad, xc) - offset * gsum   # sum of grad * (x - mean)
         if gamma.requires_grad:
@@ -655,7 +677,8 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
                 dx += (scale64 * (offset * k - gsum / m)).astype(dt)
             x._accumulate(dx, owned=True)
 
-    return _result(out, (x, gamma, beta), backward)
+    return _result(out, (x, gamma, beta), backward, (lambda: activate(
+        _values(keep) - centre if training else _values(keep))) if relu else None)
 
 
 def avg_pool2d(x: Tensor, window=2, stride=None, dilation=1, padding=(0, 0, 0, 0)) -> Tensor:

@@ -420,7 +420,7 @@ def test_dump_activations_bad_index(pipeline, capsys):
 
 # the pipeline's data has 3 classes; convert makes 21 without --classes
 @pytest.mark.parametrize("classes", [None, "2"], ids=["default-21", "two"])
-@pytest.mark.parametrize("cmd", ["train", "eval"])
+@pytest.mark.parametrize("cmd", ["train", "eval", "infer"])
 def test_graph_classes_differ_from_the_data_exits_1(pipeline, tmp_path, capsys,
                                                      cmd, classes):
     graph = str(tmp_path / "seg.graph")
@@ -428,11 +428,14 @@ def test_graph_classes_differ_from_the_data_exits_1(pipeline, tmp_path, capsys,
                  "--out", graph, *(["--classes", classes] if classes else [])]) == 0
     ckpt = str(tmp_path / "init.sunc")
     save_checkpoint(ckpt, Network(NetworkGraph.parse(Path(graph).read_text())))
-    extra = (["--out", str(tmp_path / "run"), "--iters", "1", "--batch-size", "2"]
-             if cmd == "train" else ["--checkpoint", ckpt])
+    pred = tmp_path / "pred"
+    extra = {"train": ["--out", str(tmp_path / "run"), "--iters", "1", "--batch-size", "2"],
+             "eval": ["--checkpoint", ckpt],
+             "infer": ["--checkpoint", ckpt, "--out", str(pred)]}[cmd]
     rc, _, err = run(capsys, cmd, "--graph", graph, "--data", pipeline["manifest"], *extra)
     assert rc == 1
     assert f"graph outputs {classes or 21} classes, dataset has 3" in err
+    assert not list(pred.glob("*.pgm"))     # infer fails before it writes a map
 
 
 def test_eval_checkpoint_digest_mismatch(pipeline, capsys):

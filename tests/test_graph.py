@@ -294,6 +294,18 @@ def test_training_step_peak_keeps_each_activation_once():
     assert peak <= 0.9 * CENTRED_COPY_STEP_PEAK, peak
 
 
+# The same step when the tape kept each BN-ReLU output, for the next
+# conv's weight gradient and as its own ReLU mask: 5,697,293 bytes.
+# Rebuilding the output in backward from the batch norm's input reads
+# 3,558,941 (0.62x).
+BN_OUTPUT_KEPT_STEP_PEAK = 5_697_293
+
+
+def test_training_step_peak_keeps_no_bn_relu_output():
+    peak = training_step_peak()
+    assert peak <= 0.7 * BN_OUTPUT_KEPT_STEP_PEAK, peak
+
+
 # Traced peak of one loss forward+backward at (8, 4, 96, 96), in units of
 # the logits' bytes: 5.06x when the tape kept the shifted logits beside
 # their exponentials and the backward built float64 probabilities, a

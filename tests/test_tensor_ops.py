@@ -768,18 +768,85 @@ def test_training_batchnorm_keeps_x_itself_and_matches_a_centred_copy(dtype, rel
     want = reference_batchnorm(xv, gv, gamma.data, beta.data, rm, rv, relu)
     x = Tensor(xv.copy(), requires_grad=True)
     out = T.batchnorm(x, gamma, beta, rm, rv, training=True, relu=relu)
-    # the activation-sized arrays the tape keeps: x's array itself, and
-    # with relu the output whose sign is the mask; no centred copy
+    # the activation-sized arrays the tape keeps: x's array itself, with
+    # or without relu; no centred copy and no output
     kept = [cell.cell_contents for cell in out._backward.__closure__
             if isinstance(cell.cell_contents, np.ndarray) and cell.cell_contents.size == xv.size]
     assert any(np.shares_memory(a, x.data) for a in kept)
-    assert all(np.shares_memory(a, x.data) or (relu and a is out.data) for a in kept)
+    assert all(np.shares_memory(a, x.data) for a in kept)
     got = [out.data.copy(), rm, rv]
     out.backward(gv)
     got += [x.grad, gamma.grad, beta.grad]
     assert x.data.tobytes() == xv.tobytes()
     for w, g in zip(want, got):
         assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["training", "eval"])
+@pytest.mark.parametrize("op,stride", [("conv", 1), ("conv", 2), ("tconv", 1), ("tconv", 2)])
+def test_a_conv_after_bn_relu_rebuilds_its_input_bit_exactly(op, stride, training):
+    # the oracle adds zeros between the two ops, so its conv keeps a
+    # plain array; the fused one keeps the batch norm's rebuild function
+    rng = np.random.default_rng(490)
+    xv = rng.normal(0.2, 1.5, size=(3, 4, 7, 6)).astype(np.float32)
+    wv = rng.normal(size=(5, 4, 3, 3) if op == "conv" else (4, 5, 3, 3)).astype(np.float32)
+    args = _bn_args(rng, np.float32, c=4)
+
+    def run(rebuilt):
+        x, w = Tensor(xv.copy(), requires_grad=True), Tensor(wv.copy(), requires_grad=True)
+        gamma, beta = (Tensor(t.data.copy(), requires_grad=True) for t in args[:2])
+        h = T.batchnorm(x, gamma, beta, args[2].copy(), args[3].copy(),
+                        training=training, relu=True)
+        if not rebuilt:
+            h = T.add(h, Tensor(np.zeros_like(xv)))
+        assert (h._rebuild is not None) == rebuilt
+        clamped = (h.data == 0).any() and (h.data > 0).any()
+        if op == "conv":
+            out = T.conv2d(h, w, stride=stride, padding=1)
+        else:
+            out_hw = tuple((e - 1) * stride + 1 for e in xv.shape[2:])
+            out = T.conv2d_transpose(h, w, out_hw, stride=stride, padding=1)
+        h.release()             # backward must not need the values
+        gv = np.random.default_rng(491).normal(size=out.data.shape).astype(np.float32)
+        result = [out.data.copy()]
+        out.backward(gv)
+        return clamped, result + [x.grad, gamma.grad, beta.grad, w.grad]
+
+    (clamped, want), (_, got) = run(False), run(True)
+    assert clamped
+    for a, b in zip(want, got):
+        assert b.dtype == a.dtype and b.tobytes() == a.tobytes()
+
+
+def _kept_arrays(root: Tensor):
+    """Every array the closures of root's tape keep, through the functions
+    those closures keep (a rebuild function and what it calls)."""
+    seen, todo = set(), [root]
+    while todo:
+        item = todo.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, Tensor):
+            todo += [*item._parents, item._backward]
+        elif isinstance(item, np.ndarray):
+            yield item
+        elif callable(item):
+            todo += [c.cell_contents for c in getattr(item, "__closure__", None) or ()
+                     if not isinstance(c.cell_contents, Tensor)]
+
+
+def test_a_training_tape_keeps_no_bn_relu_output():
+    graph = to_segmentation(build_classifier(toy_config(8), input_hw=(64, 64)),
+                            SegmentationConfig(num_classes=3, output_stride=8))
+    net = Network(graph, seed=0)
+    names = [n.name for n in graph.nodes if n.kind == "bn_relu"]
+    x = np.random.default_rng(495).normal(size=(2, 3, 64, 64)).astype(np.float32)
+    out, bn = net.forward(x, training=True, collect=names)
+    kept = [a for a in _kept_arrays(out) if a.ndim == 4 and a.shape[0] == 2]
+    assert len(names) > 20 and len(kept) > 20
+    for name, t in bn.items():
+        assert not any(np.shares_memory(a, t.data) for a in kept), name
 
 
 def test_conv_keeps_its_input_not_its_column_matrix():
