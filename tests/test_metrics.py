@@ -167,7 +167,8 @@ def test_one_network_matches_per_extent_rebuilds(output_stride):
     scales = (0.5, 0.75, 1.0, 1.25)
     probs = multi_scale_inference(net, img, scales, flip=True)
 
-    variants = [(s, m) for m in (False, True) for s in scales]
+    # summed scale by scale, each image's map and then its mirror's
+    variants = [(s, m) for s in scales for m in (False, True)]
     ref = 0.0
     for s, mirrored in variants:
         x = np.ascontiguousarray(img[:, :, ::-1] if mirrored else img)
@@ -179,6 +180,54 @@ def test_one_network_matches_per_extent_rebuilds(output_stride):
         p = resize_bilinear(softmax_probs(out), (h, w))
         ref = ref + (p[:, :, ::-1] if mirrored else p)
     assert np.array_equal(probs, ref / len(variants))
+
+
+@pytest.mark.parametrize("output_stride", [32, 16, 8])
+@pytest.mark.parametrize("hw", [(36, 42), (53, 64), (71, 85), (89, 106)])
+def test_stacked_mirror_forward_matches_batch_one(output_stride, hw):
+    # multi_scale_inference stacks an image and its mirror into one
+    # forward and treats each map as its batch-1 forward's: in eval mode
+    # every sample must get those bits exactly
+    net = Network(to_segmentation(
+        build_classifier(toy_config(8), input_hw=(64, 64)),
+        SegmentationConfig(num_classes=3, output_stride=output_stride)), seed=0)
+    rng = np.random.default_rng(14)
+    for key, stat in net.stats.items():
+        net.stats[key] = stat + rng.uniform(0.1, 0.5, size=stat.shape)
+    x = rng.normal(size=(3,) + hw).astype(np.float32)
+    mirror = np.ascontiguousarray(x[:, :, ::-1])
+    with no_grad():
+        both = net.forward(np.stack([x, mirror]), training=False).data
+        one = net.forward(x[None], training=False).data[0]
+        other = net.forward(mirror[None], training=False).data[0]
+    assert both[0].tobytes() == one.tobytes()
+    assert both[1].tobytes() == other.tobytes()
+
+
+@pytest.mark.parametrize("scales,flip,forwards", [
+    # 2·64² and 2·96² fit in 160² (scale 1.25); 2·128² does not
+    (SCALE_PRESETS["multi"], True,
+     [(2, 64, 64), (2, 96, 96), (1, 128, 128), (1, 128, 128),
+      (1, 160, 160), (1, 160, 160)]),
+    ((1.0,), True, [(1, 128, 128)] * 2),
+    (SCALE_PRESETS["multi"], False,
+     [(1, 64, 64), (1, 96, 96), (1, 128, 128), (1, 160, 160)]),
+])
+def test_flip_stacks_only_pairs_that_fit_the_largest_scale(monkeypatch, scales,
+                                                           flip, forwards):
+    # (batch, h, w) of every Network.forward of one 128² inference
+    seen = []
+    forward = Network.forward
+
+    def spy(self, x, *args, **kwargs):
+        seen.append(np.shape(x)[:1] + np.shape(x)[2:])
+        return forward(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "forward", spy)
+    net = seg_net(hw=(128, 128))
+    x = np.random.default_rng(15).normal(size=(3, 128, 128)).astype(np.float32)
+    multi_scale_inference(net, x, scales, flip)
+    assert seen == forwards
 
 
 def test_scale_too_small_names_the_node():
@@ -237,11 +286,21 @@ def _traced_peak(fn, *args):
 def test_multi_scale_flip_inference_peak():
     # at scale 1.25 (160²) the stem's whole 7x7 column matrix was 3.59 MiB;
     # it is now built in chunks of at most 1 MiB. Measured 2.28 MiB (4.46
-    # at full matrices and three-array resizes); the bound adds 10%.
+    # at full matrices and three-array resizes), also with scales 0.5 and
+    # 0.75 run as batch-2 image+mirror forwards; the bound adds 10%.
     net = seg_net(hw=(128, 128))
     x = np.random.default_rng(12).normal(size=(3, 128, 128)).astype(np.float32)
     peak = _traced_peak(predict_labels, net, x, (0.5, 0.75, 1.0, 1.25), True)
     assert peak <= 2.5 * 2**20, peak / 2**20
+
+
+def test_single_scale_flip_inference_peak():
+    # one scale stacks nothing: the image and its mirror run as two
+    # batch-1 forwards. Measured 1.661 MiB; the bound adds 10%.
+    net = seg_net(hw=(128, 128))
+    x = np.random.default_rng(12).normal(size=(3, 128, 128)).astype(np.float32)
+    peak = _traced_peak(predict_labels, net, x, (1.0,), True)
+    assert peak <= 1.83 * 2**20, peak / 2**20
 
 
 def test_resize_bilinear_keeps_two_arrays_per_pass():
