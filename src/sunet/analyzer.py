@@ -2,7 +2,7 @@
 
 Everything here works off the graph description alone: parameter counts
 come from node attributes, receptive fields from the layer recurrence,
-and shape traces from the graph's shape rules. The activation dump is
+and shape traces from the graph's shape rules at a given input extent. The activation dump is
 the one routine that touches real weights.
 """
 from __future__ import annotations
@@ -60,9 +60,9 @@ def count_skip_layers(graph: NetworkGraph) -> int:
                and n.tags.get("role") == "skip")
 
 
-def receptive_field(graph: NetworkGraph, hw: tuple[int, int] | None = None
+def receptive_field(graph: NetworkGraph, hw: tuple[int, int]
                     ) -> dict[str, tuple[RFState, RFState]]:
-    """Per-node receptive-field state along (height, width).
+    """Per-node receptive-field state along (height, width) at extent hw.
 
     Recurrence per k-tap layer: rf' = rf + (k-1)*d*jump, jump' = jump*s;
     transposed layers divide the jump first. Merge nodes take the
@@ -120,8 +120,8 @@ def _fields(graph: NetworkGraph, shapes) -> dict[str, tuple[RFState, RFState]]:
     return states
 
 
-def fov(graph: NetworkGraph, node: str, hw: tuple[int, int] | None = None) -> int:
-    """Receptive-field height of one node as a plain integer."""
+def fov(graph: NetworkGraph, node: str, hw: tuple[int, int]) -> int:
+    """Receptive-field height of one node at input extent hw."""
     st = receptive_field(graph, hw)
     if node not in st:
         raise GraphError(f"node {node!r}: not in graph")
@@ -129,15 +129,15 @@ def fov(graph: NetworkGraph, node: str, hw: tuple[int, int] | None = None) -> in
     return int(rf) if rf.denominator == 1 else float(rf)
 
 
-def spatial_trace(graph: NetworkGraph, hw: tuple[int, int] | None = None
+def spatial_trace(graph: NetworkGraph, hw: tuple[int, int]
                   ) -> list[tuple[str, tuple[int, int, int]]]:
-    """(stage, (c, h, w)) for every stage-tagged node, in graph order."""
+    """(stage, (c, h, w)) of every stage-tagged node at input extent hw."""
     shapes = graph.infer_shapes(hw)
     return [(n.tags["stage"], shapes[n.name]) for n in graph.tagged("stage")]
 
 
-def analyze(graph: NetworkGraph, hw: tuple[int, int] | None = None) -> dict:
-    """Full static report: per-node rows plus totals and the stage trace."""
+def analyze(graph: NetworkGraph, hw: tuple[int, int]) -> dict:
+    """Static report at input extent hw: node rows, totals, stage trace."""
     shapes = graph.infer_shapes(hw)
     fields = _fields(graph, shapes)
     params = param_counts(graph)
@@ -152,7 +152,7 @@ def analyze(graph: NetworkGraph, hw: tuple[int, int] | None = None) -> dict:
         })
     stages = [(n.tags["stage"], n.name, shapes[n.name]) for n in graph.tagged("stage")]
     return {
-        "input": (graph.in_channels,) + tuple(hw or graph.in_hw),
+        "input": (graph.in_channels,) + tuple(hw),
         "kind": graph.meta.get("kind", "?"),
         "rows": rows,
         "total_params": sum(params.values()),

@@ -6,8 +6,9 @@ u-net modules separated by 2x2 average-pool transitions, and a BN-ReLU
 ``build_backbone`` emits that body at any per-block dilation rate; the
 classifier runs it at rate 1 and adds a global-average-pool head whose
 fully-connected layer is a 1x1 conv, and ``segment.to_segmentation``
-runs the same body at the rates of its output stride. Presets mirror the
-published SUNet-64 / SUNet-128 / SUNet-7-128 configurations.
+runs the same body at the rates of its output stride; neither stores an
+input extent. Presets mirror the published SUNet-64 / SUNet-128 /
+SUNet-7-128 configurations.
 """
 from __future__ import annotations
 
@@ -141,16 +142,16 @@ def build_backbone(g: NetworkGraph, cfg: SUNetConfig,
 
 def build_classifier(cfg: SUNetConfig, input_hw: tuple[int, int] = (224, 224),
                      in_channels: int = 3) -> NetworkGraph:
-    """Materialize a classification graph for the given configuration."""
+    """Materialize a classification graph, checked at input_hw (not stored)."""
     h, w = int(input_hw[0]), int(input_hw[1])
     if h < 8 or w < 8:
         raise GraphError(f"config {cfg.name!r}: input {h}x{w} too small")
-    g = NetworkGraph(in_channels, (h, w))
+    g = NetworkGraph(in_channels)
     g.meta["kind"] = "classifier"
     g.meta["config"] = config_to_meta(cfg.to_dict())
     cin = build_backbone(g, cfg, (1, 1, 1, 1), multigrid=False)
     g.add("head.gap", "gap", [FEATURES], stage="pool")
     g.add("head.fc", "conv", ["head.gap"], cin=cin, cout=cfg.num_classes,
           k=(1, 1), s=(1, 1), d=(1, 1), p=(0, 0), bias=True)
-    g.infer_shapes()  # reject a declared input size the graph cannot run at
+    g.infer_shapes((h, w))
     return g

@@ -90,8 +90,7 @@ def _config_from_args(args):
 def _graph_from_args(args) -> NetworkGraph:
     if getattr(args, "graph", None) is not None:
         return _load_graph(args.graph)
-    hw = args.input_hw if args.input_hw is not None else (224, 224)
-    return build_classifier(_config_from_args(args), input_hw=hw)
+    return build_classifier(_config_from_args(args))
 
 
 def _add_source_flags(p, with_graph=True):
@@ -105,7 +104,6 @@ def _add_source_flags(p, with_graph=True):
     p.add_argument("--modules", type=_pair_modules, default=(1, 1, 1, 1),
                    metavar="A,B,C,D", help="modules per block for --toy")
     p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--input-hw", type=_hw, default=None, metavar="HxW")
 
 
 def _pair_modules(text: str) -> tuple[int, ...]:
@@ -261,6 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="report shapes, params, rf per node")
     _add_source_flags(p)
+    p.add_argument("--input-hw", type=_hw, default=(224, 224), metavar="HxW",
+                   help="input extent to analyze at (default 224x224)")
     p.add_argument("--csv", metavar="FILE", help="also write per-node CSV")
     p.set_defaults(func=_cmd_analyze)
 

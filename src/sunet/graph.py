@@ -8,10 +8,10 @@ the executor, the analyzer and the converter all walk the same
 structure. Graphs serialize to a line-based text format closed by a
 sha256 content digest.
 
-Format 2 states only what varies between nodes: a bn_relu node carries
-its channel count and runs at batchnorm's own decay and eps, a tconv
-carries no bias, and a conv says bias=1 only where it has one. A file
-of another format fails at parse, naming its version.
+Format 3 states only what varies: a graph runs at any input size, so
+its input line carries only the channel count; a bn_relu node carries
+its channel count, a tconv no bias, and a conv bias=1 only where it has
+one. A file of another format fails at parse, naming its version.
 
 Serialized tag keys (stage, level, role) are reserved and never used as
 attribute names. A stage tag names a part of the network, a level tag
@@ -29,7 +29,7 @@ import numpy as np
 
 from .tensor import conv_out_size, pool_out_hw, tconv_out_hw
 
-GRAPH_FORMAT = 2
+GRAPH_FORMAT = 3
 GRAPH_HEADER = f"sunet-graph {GRAPH_FORMAT}"
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
@@ -104,11 +104,10 @@ class Node:
 
 
 class NetworkGraph:
-    """Ordered node list plus a declared input shape and metadata."""
+    """Ordered node list plus its input channel count and metadata."""
 
-    def __init__(self, in_channels: int, in_hw: tuple[int, int]):
+    def __init__(self, in_channels: int):
         self.in_channels = int(in_channels)
-        self.in_hw = (int(in_hw[0]), int(in_hw[1]))
         self.nodes: list[Node] = []
         self.by_name: dict[str, Node] = {}
         self.meta: dict[str, str] = {}
@@ -176,14 +175,14 @@ class NetworkGraph:
 
     # ------------------------------------------------------------ shapes
 
-    def infer_shapes(self, hw: tuple[int, int] | None = None) -> dict[str, tuple[int, int, int]]:
-        """Per-node output (c, h, w) for the declared or a given input size."""
-        in_h, in_w = hw if hw is not None else self.in_hw
+    def infer_shapes(self, hw: tuple[int, int]) -> dict[str, tuple[int, int, int]]:
+        """Per-node output (c, h, w) for an input of extent hw."""
+        hw = (int(hw[0]), int(hw[1]))
         shapes: dict[str, tuple[int, int, int]] = {}
         for node in self.nodes:
             src = [shapes[s] for s in node.inputs]
             try:
-                shapes[node.name] = _node_shape(node, src, (in_h, in_w))
+                shapes[node.name] = _node_shape(node, src, hw)
             except GraphError:
                 raise
             except ValueError as exc:
@@ -193,8 +192,7 @@ class NetworkGraph:
     # ------------------------------------------------------- serialization
 
     def serialize(self) -> str:
-        lines = [GRAPH_HEADER,
-                 f"input c={self.in_channels} h={self.in_hw[0]} w={self.in_hw[1]}"]
+        lines = [GRAPH_HEADER, f"input c={self.in_channels}"]
         for key in sorted(self.meta):
             value = self.meta[key]
             if "\n" in value:
@@ -237,10 +235,12 @@ class NetworkGraph:
         if not lines[1].startswith("input "):
             raise GraphError("missing input line")
         head = _key_values(lines[1].split()[1:], 2)
-        for key in ("c", "h", "w"):
-            if key not in head:
-                raise GraphError(f"line 2: input line needs {key!r}")
-        graph = cls(int(head["c"]), (int(head["h"]), int(head["w"])))
+        for key in head:
+            if key != "c":
+                raise GraphError(f"line 2: input line has no key {key!r}")
+        if "c" not in head:
+            raise GraphError("line 2: input line needs 'c'")
+        graph = cls(int(head["c"]))
         for lineno, line in enumerate(lines[2:-1], start=3):
             if line.startswith("meta "):
                 parts = line.split(" ", 2)
@@ -295,11 +295,11 @@ def _parse_value(raw: str):
     return raw
 
 
-def _node_shape(node: Node, src, in_hw) -> tuple[int, int, int]:
+def _node_shape(node: Node, src, hw) -> tuple[int, int, int]:
     kind = node.kind
     a = node.attrs
     if kind == "input":
-        return (a["c"], in_hw[0], in_hw[1])
+        return (a["c"],) + hw
     if kind in ("conv", "tconv", "bn_relu"):
         want = a["c"] if kind == "bn_relu" else a["cin"]
         if src[0][0] != want:
@@ -332,7 +332,7 @@ def _node_shape(node: Node, src, in_hw) -> tuple[int, int, int]:
                 raise GraphError(f"node {node.name!r}: concat of {src[0]} and {s}")
         return (sum(s[0] for s in src), h, w)
     if kind == "upsample":
-        return (src[0][0], in_hw[0], in_hw[1])
+        return (src[0][0],) + hw
     raise GraphError(f"node {node.name!r}: no shape rule for kind {kind!r}")
 
 

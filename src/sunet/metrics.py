@@ -177,8 +177,11 @@ def predict_labels(net, image: np.ndarray, scales=(1.0,),
 
 
 def check_classes(net, dataset: Dataset) -> None:
-    """Raise EvalError unless the graph outputs the dataset's class count."""
-    out_c = net.graph.infer_shapes()[net.graph.output][0]
+    """Raise EvalError unless the graph outputs the dataset's class count,
+    checked at the first image's extent; an empty dataset has none."""
+    if len(dataset) == 0:
+        return
+    out_c = net.graph.infer_shapes(dataset.images[0].shape[1:])[net.graph.output][0]
     if out_c != dataset.classes:
         raise EvalError(f"graph outputs {out_c} classes, dataset has {dataset.classes}")
 

@@ -56,10 +56,9 @@ class Network:
         for key, shape in param_shapes(self.graph).items():
             node_name, part = key.rsplit(".", 1)
             if part == "w":
-                # fan-in: c_in times the taps; a tconv weight is (c_in, c_out, kh, kw)
-                kind = self.graph.by_name[node_name].kind
-                cin = shape[0] if kind == "tconv" else shape[1]
-                std = float(np.sqrt(2.0 / (cin * shape[2] * shape[3])))
+                # fan-in: c_in times the taps, for a conv and a tconv alike
+                a = self.graph.by_name[node_name].attrs
+                std = float(np.sqrt(2.0 / (a["cin"] * a["k"][0] * a["k"][1])))
                 value = rng.normal(0.0, std, size=shape).astype(self.dtype)
             elif part == "gamma":
                 value = np.ones(shape, dtype=self.dtype)

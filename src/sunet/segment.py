@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analyzer import receptive_field
-from .arch import FEATURES, SUNetConfig, build_backbone, build_classifier
+from .arch import FEATURES, SUNetConfig, build_backbone
 from .graph import GraphError, NetworkGraph, config_to_meta
 from .tensor import no_grad
 from .unet import bn_relu_conv
@@ -67,7 +67,7 @@ def to_segmentation(g: NetworkGraph, cfg: SegmentationConfig) -> NetworkGraph:
     net_cfg = SUNetConfig.from_dict(json.loads(g.meta["config"]))
     rates = _BLOCK_RATES[cfg.output_stride]
 
-    out = NetworkGraph(g.in_channels, g.in_hw)
+    out = NetworkGraph(g.in_channels)
     out.meta["kind"] = "segmentation"
     out.meta["config"] = g.meta["config"]
     out.meta["seg"] = config_to_meta(cfg.to_dict())
@@ -91,25 +91,16 @@ def to_segmentation(g: NetworkGraph, cfg: SegmentationConfig) -> NetworkGraph:
 
 
 def rebuild_for_input(graph: NetworkGraph, hw: tuple[int, int]) -> NetworkGraph:
-    """Re-derive the same architecture for a different declared input extent.
+    """The builder graph itself, checked to run at input extent hw.
 
-    Graphs already run at any input size, so inference never needs
-    this; it is the per-extent reference that tests compare one-graph
-    multi-scale inference against. Returns the graph itself when the
-    extent already matches.
+    A graph stores no extent, so nothing is rebuilt: one network has one
+    graph and one digest at every size.
     """
-    hw = (int(hw[0]), int(hw[1]))
-    if graph.in_hw == hw:
-        return graph
     kind = graph.meta.get("kind")
     if kind not in ("classifier", "segmentation") or "config" not in graph.meta:
         raise GraphError(f"cannot rebuild graph of kind {kind!r} for a new input size")
-    cfg = SUNetConfig.from_dict(json.loads(graph.meta["config"]))
-    base = build_classifier(cfg, input_hw=hw)
-    if kind == "classifier":
-        return base
-    seg = SegmentationConfig.from_dict(json.loads(graph.meta["seg"]))
-    return to_segmentation(base, seg)
+    graph.infer_shapes(hw)
+    return graph
 
 
 def copy_shared(src, dst) -> list[str]:

@@ -143,18 +143,24 @@ def train(net: Network, dataset, cfg: TrainConfig, out_dir=None) -> dict:
     """
     if len(dataset) == 0:
         raise TrainError("empty dataset")
-    out_c = net.graph.infer_shapes()[net.graph.output][0]
+    # samples have the crop extent, or the images' own, stacked as they are
+    hw = tuple(cfg.augment.crop_hw) if cfg.augment else dataset.images[0].shape[1:]
+    out_node = net.graph.output
+    out_c, *out_hw = net.graph.infer_shapes(hw)[out_node]
     if out_c != dataset.classes:
         raise TrainError(f"graph outputs {out_c} classes, dataset has {dataset.classes}")
     if cfg.augment is None:
-        # without augmentation the batch stacks the images as they are
-        size = dataset.images[0].shape[1:]
         for i, img in enumerate(dataset.images):
-            if img.shape[1:] != size:
+            if img.shape[1:] != hw:
                 raise TrainError(
                     f"dataset entry {i}: image {img.shape[1:]} differs from "
-                    f"entry 0's {size}; training without augmentation needs "
+                    f"entry 0's {hw}; training without augmentation needs "
                     f"one image size")
+    if tuple(out_hw) != hw:
+        raise TrainError(
+            f"output node {out_node!r} is {out_hw[0]}x{out_hw[1]} at the training "
+            f"extent {hw[0]}x{hw[1]}; a graph whose output does not keep the "
+            f"input extent can be evaluated but not trained")
     opt = SGD(net.params, cfg.optimizer, decay_names=net.decay_param_names())
     rows = []
     if out_dir is not None:

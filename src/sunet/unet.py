@@ -104,11 +104,10 @@ def add_module(g: NetworkGraph, prefix: str, src: str, cin: int, width: int,
     return g.add(f"{prefix}.out", "add", [bout, skip])
 
 
-def module_graph(cin: int, width: int, cout: int, hw: tuple[int, int] = (32, 32),
-                 *, trimmed: bool = False, multigrid: bool = False,
-                 rate: int = 1) -> NetworkGraph:
+def module_graph(cin: int, width: int, cout: int, *, trimmed: bool = False,
+                 multigrid: bool = False, rate: int = 1) -> NetworkGraph:
     """Standalone graph holding a single module, for analysis and tests."""
-    g = NetworkGraph(cin, hw)
+    g = NetworkGraph(cin)
     add_module(g, "m", "input", cin, width, cout, trimmed=trimmed,
                multigrid=multigrid, rate=rate)
     g.meta["kind"] = "module"

@@ -33,7 +33,7 @@ STAGE_TRACE = [112, 56, 56, 28, 28, 14, 14, 7, 7, 1]
 
 
 def _report(name):
-    return analyze(build_classifier(preset(name), input_hw=(224, 224)))
+    return analyze(build_classifier(preset(name)), (224, 224))
 
 
 def test_c01_parameter_counts_within_5pct():
@@ -72,9 +72,9 @@ def test_c03_layer_counts():
 
 def test_c04_fov_anchor_19():
     t0 = time.perf_counter()
-    g = NetworkGraph(4, (48, 48))
+    g = NetworkGraph(4)
     add_module(g, "m", "input", 4, 4, 8)
-    assert fov(g, "m.e2b.conv") == 19
+    assert fov(g, "m.e2b.conv", (48, 48)) == 19
 
     # gradient-support oracle: positive weights, eval-mode BN, one-hot
     # seed at an interior position of the innermost encoder conv
@@ -261,8 +261,8 @@ def test_c07_rf_preserved_by_conversion():
     g = build_classifier(toy_config(8, num_classes=5), input_hw=(129, 129))
     seg = to_segmentation(g, SegmentationConfig(num_classes=5,
                                                 output_stride=8))
-    before = receptive_field(g)
-    after = receptive_field(seg)
+    before = receptive_field(g, (129, 129))
+    after = receptive_field(seg, (129, 129))
     shared = [n for n in before if n in after]
     assert set(before) - set(shared) == {"head.gap", "head.fc"}
     bad = [n for n in shared

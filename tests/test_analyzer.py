@@ -15,7 +15,7 @@ from sunet.unet import module_graph
 
 
 def chain_graph():
-    g = NetworkGraph(1, (32, 32))
+    g = NetworkGraph(1)
     g.add("c1", "conv", ["input"], cin=1, cout=4, k=(3, 3), s=(1, 1),
           d=(1, 1), p=(1, 1))
     g.add("c2", "conv", ["c1"], cin=4, cout=4, k=(3, 3), s=(1, 1),
@@ -28,7 +28,7 @@ def chain_graph():
 
 
 def test_rf_grows_along_plain_chain():
-    rf = receptive_field(chain_graph())
+    rf = receptive_field(chain_graph(), (32, 32))
     assert rf["c1"][0].rf == 3
     assert rf["c2"][0].rf == 5
     assert rf["c3"][0].rf == 7
@@ -38,24 +38,24 @@ def test_rf_grows_along_plain_chain():
 
 
 def test_dilation_scales_rf_like_stride():
-    g = NetworkGraph(1, (32, 32))
+    g = NetworkGraph(1)
     g.add("c1", "conv", ["input"], cin=1, cout=1, k=(3, 3), s=(1, 1),
           d=(4, 4), p=(4, 4))
-    rf = receptive_field(g)
+    rf = receptive_field(g, (32, 32))
     assert rf["c1"][0].rf == 9
     assert rf["c1"][0].jump == 1
 
 
 def test_module_inner_conv_fov_is_19():
-    g = module_graph(8, 8, 8, hw=(64, 64))
-    assert fov(g, "m.e2b.conv") == 19
+    g = module_graph(8, 8, 8)
+    assert fov(g, "m.e2b.conv", (64, 64)) == 19
 
 
 def test_fov_is_rate_invariant_under_multigrid():
     # the dilated layout widens taps exactly as the strides did
-    gs = module_graph(8, 8, 8, hw=(64, 64), multigrid=False)
-    gm = module_graph(8, 8, 8, hw=(64, 64), multigrid=True, rate=1)
-    assert fov(gs, "m.out") == fov(gm, "m.out")
+    gs = module_graph(8, 8, 8, multigrid=False)
+    gm = module_graph(8, 8, 8, multigrid=True, rate=1)
+    assert fov(gs, "m.out", (64, 64)) == fov(gm, "m.out", (64, 64))
 
 
 def test_gradient_support_matches_analytic_rf():
@@ -74,7 +74,7 @@ def test_gradient_support_matches_analytic_rf():
     out.backward(seed)
     rows = np.flatnonzero(np.abs(x.grad[0, 0]).sum(axis=1))
     cols = np.flatnonzero(np.abs(x.grad[0, 0]).sum(axis=0))
-    rf = receptive_field(g)["c4"]
+    rf = receptive_field(g, (32, 32))["c4"]
     assert rows.size == rf[0].rf == 11
     assert cols.size == rf[1].rf == 11
 
@@ -91,15 +91,15 @@ def test_layer_count_ignores_skip_projections():
 
 def test_spatial_trace_stages():
     g = build_classifier(toy_config(8), input_hw=(64, 64))
-    names = [s for s, _ in spatial_trace(g)]
+    names = [s for s, _ in spatial_trace(g, (64, 64))]
     assert names[0] == "conv1"
     assert names[-1] == "pool"
-    assert [hw[1] for _, hw in spatial_trace(g)] == [32, 16, 16, 8, 8, 4, 4, 2, 2, 1]
+    assert [hw[1] for _, hw in spatial_trace(g, (64, 64))] == [32, 16, 16, 8, 8, 4, 4, 2, 2, 1]
 
 
 def test_report_text_mentions_totals():
     g = build_classifier(toy_config(8), input_hw=(64, 64))
-    text = format_report(analyze(g))
+    text = format_report(analyze(g, (64, 64)))
     assert "params total:" in text
     assert "trace:" in text
     assert "conv1" in text
@@ -107,21 +107,21 @@ def test_report_text_mentions_totals():
 
 def test_report_csv_has_header_and_rows():
     g = chain_graph()
-    csv = report_csv(analyze(g))
+    csv = report_csv(analyze(g, (32, 32)))
     lines = csv.strip().splitlines()
     assert lines[0] == "node,kind,out_c,out_h,out_w,params,rf_h,rf_w,jump_h,jump_w"
     assert len(lines) == 1 + len(g.nodes)
 
 
 def test_merge_with_unequal_jumps_rejected():
-    g = NetworkGraph(1, (16, 16))
+    g = NetworkGraph(1)
     g.add("a", "conv", ["input"], cin=1, cout=1, k=(3, 3), s=(2, 2),
           d=(1, 1), p=(1, 1))
     g.add("b", "conv", ["input"], cin=1, cout=1, k=(3, 3), s=(1, 1),
           d=(1, 1), p=(1, 1))
     with pytest.raises(GraphError):
         g.add("m", "add", ["a", "b"])
-        receptive_field(g)
+        receptive_field(g, (16, 16))
 
 
 def test_dump_activations_writes_levels(tmp_path):
@@ -157,7 +157,7 @@ def test_dump_activations_container_holds_collected_values(tmp_path, dtype):
 
 
 def test_dump_activations_picks_strongest_channel(tmp_path):
-    g = NetworkGraph(2, (8, 8))
+    g = NetworkGraph(2)
     g.add("c1", "conv", ["input"], cin=2, cout=3, k=(1, 1), s=(1, 1),
           d=(1, 1), p=(0, 0), level=1)
     net = Network(g, seed=0)

@@ -34,7 +34,7 @@ def test_param_count_matches_materialized_network(name):
 def test_preset_stage_trace_at_224():
     for name in EXPECTED:
         g = build_classifier(preset(name), input_hw=(224, 224))
-        sizes = [hw[1] for _, hw in spatial_trace(g)]
+        sizes = [hw[1] for _, hw in spatial_trace(g, (224, 224))]
         assert sizes == [112, 56, 56, 28, 28, 14, 14, 7, 7, 1]
 
 
@@ -75,7 +75,7 @@ def test_config_from_dict_rejects_malformed():
 
 def test_classifier_head_shapes():
     g = build_classifier(toy_config(8), input_hw=(64, 64))
-    shapes = g.infer_shapes()
+    shapes = g.infer_shapes((64, 64))
     assert shapes["head.gap"][1:] == (1, 1)
     assert shapes[g.output] == (1000, 1, 1)
     assert g.meta["kind"] == "classifier"

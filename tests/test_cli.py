@@ -78,19 +78,19 @@ def test_analyze_csv(tmp_path, capsys):
 
 def test_analyze_graph_at_another_input_size(tmp_path, capsys):
     path = str(tmp_path / "g.graph")
-    run(capsys, "build", "--toy", "8", "--input-hw", "64", "--out", path)
+    run(capsys, "build", "--toy", "8", "--out", path)
     rc, out, _ = run(capsys, "analyze", "--graph", path, "--input-hw", "96")
     assert rc == 0
     assert "input: 3x96x96" in out
     assert "trace: 48 24 24 12 12 6 6 3 3 1" in out
+    # a graph stores no extent: analyze defaults to 224x224
     rc, out, _ = run(capsys, "analyze", "--graph", path)
-    assert "input: 3x64x64" in out
+    assert "input: 3x224x224" in out
 
 
 def test_build_round_trip(tmp_path, capsys):
     path = str(tmp_path / "g.graph")
-    rc, out, _ = run(capsys, "build", "--toy", "8", "--input-hw", "64",
-                     "--out", path)
+    rc, out, _ = run(capsys, "build", "--toy", "8", "--out", path)
     assert rc == 0
     text = Path(path).read_text()
     g = NetworkGraph.parse(text)
@@ -106,48 +106,49 @@ BN = "node b1 bn_relu in=input c=3\n"
 
 
 @pytest.mark.parametrize("input_line,node_line,message", [
-    ("input c=3 h=16 w=16", "node c1\n", "line 3: node line needs a name and a kind"),
-    ("input c=3 h=16 w=16", CONV.replace("cin=3 ", ""), "node 'c1': conv needs attribute 'cin'"),
-    ("input c=3 h=16", CONV, "line 2: input line needs 'w'"),
-    ("input c=3 h=16 w=16", CONV.replace("in=input", "input"),
+    ("input c=3", "node c1\n", "line 3: node line needs a name and a kind"),
+    ("input c=3", CONV.replace("cin=3 ", ""), "node 'c1': conv needs attribute 'cin'"),
+    # a graph stores no input extent
+    ("input c=3 h=16", CONV, "line 2: input line has no key 'h'"),
+    ("input c=3", CONV.replace("in=input", "input"),
      "line 3: token 'input' is not key=value"),
-    ("input c=3 h=16 w=16", CONV.replace("in=input ", ""),
+    ("input c=3", CONV.replace("in=input ", ""),
      "node 'c1': conv takes 1 input(s), got 0"),
-    ("input c=3 h=16 w=16", CONV.replace("in=input", "in=input,input"),
+    ("input c=3", CONV.replace("in=input", "in=input,input"),
      "node 'c1': conv takes 1 input(s), got 2"),
-    ("input c=3 h=16 w=16", CONV + "node a1 add in=c1\n",
+    ("input c=3", CONV + "node a1 add in=c1\n",
      "node 'a1': add takes 2 input(s), got 1"),
-    ("input c=3 h=16 w=16", CONV.replace("k=3x3", "k=3"),
+    ("input c=3", CONV.replace("k=3x3", "k=3"),
      "node 'c1': attribute 'k' must be a pair of positive integers, got 3"),
-    ("input c=3 h=16 w=16", CONV.replace("s=1x1", "s=0x0"),
+    ("input c=3", CONV.replace("s=1x1", "s=0x0"),
      "node 'c1': attribute 's' must be a pair of positive integers, got (0, 0)"),
-    ("input c=3 h=16 w=16", CONV.replace("cout=8", "cout=0"),
+    ("input c=3", CONV.replace("cout=8", "cout=0"),
      "node 'c1': attribute 'cout' must be a positive integer, got 0"),
     # no kind or tag takes a float: the raw token fails its form check
-    ("input c=3 h=16 w=16", CONV.replace("cout=8", "cout=2.5"),
+    ("input c=3", CONV.replace("cout=8", "cout=2.5"),
      "node 'c1': attribute 'cout' must be a positive integer, got '2.5'"),
     # a bias-free conv has one spelling: no bias attribute
-    ("input c=3 h=16 w=16", CONV.replace("\n", " bias=0\n"),
+    ("input c=3", CONV.replace("\n", " bias=0\n"),
      "node 'c1': attribute 'bias' must be 1, got 0"),
     # a bn_relu runs at batchnorm's own decay and eps and states neither
-    ("input c=3 h=16 w=16", BN.replace("\n", " decay=nan\n"),
+    ("input c=3", BN.replace("\n", " decay=nan\n"),
      "node 'b1': bn_relu has no attribute 'decay'"),
-    ("input c=3 h=16 w=16", BN.replace("\n", " eps=-1\n"),
+    ("input c=3", BN.replace("\n", " eps=-1\n"),
      "node 'b1': bn_relu has no attribute 'eps'"),
-    ("input c=3 h=16 w=16", CONV + BN.replace("in=input c=3", "in=c1 c=5"),
+    ("input c=3", CONV + BN.replace("in=input c=3", "in=c1 c=5"),
      "node 'b1': expects 5 channels, got 8"),
-    ("input c=3 h=16 w=16", "node g1 grid_mask in=input keep=0 period=2\n",
+    ("input c=3", "node g1 grid_mask in=input keep=0 period=2\n",
      "node 'g1': attribute 'keep' must be a positive integer, got 0"),
-    ("input c=3 h=16 w=16", "node g1 grid_mask in=input keep=3 period=2\n",
+    ("input c=3", "node g1 grid_mask in=input keep=3 period=2\n",
      "node 'g1': attribute 'keep' must be at most period 2, got 3"),
-    ("input c=3 h=16 w=16", CONV + CONV.replace("c1 conv in=input", "c2 conv in=c1")
+    ("input c=3", CONV + CONV.replace("c1 conv in=input", "c2 conv in=c1")
      .replace("cin=3", "cin=8").replace("\n", " level=abc\n"),
      "node 'c2': tag 'level' must be a non-negative integer, got 'abc'"),
-    ("input c=3 h=16 w=16", CONV.replace("\n", " role=main\n"),
+    ("input c=3", CONV.replace("\n", " role=main\n"),
      "node 'c1': tag 'role' must be 'skip', got 'main'"),
-    ("input c=3 h=16 w=16", CONV.replace("d=1x1", "dilation=2x2 d=1x1"),
+    ("input c=3", CONV.replace("d=1x1", "dilation=2x2 d=1x1"),
      "node 'c1': conv has no attribute 'dilation'"),
-], ids=["node-name-only", "conv-without-cin", "input-without-w", "bare-token",
+], ids=["node-name-only", "conv-without-cin", "input-with-an-extent", "bare-token",
         "conv-without-input", "conv-with-two-inputs", "add-with-one-input",
         "int-kernel", "zero-stride", "zero-cout", "float-cout", "conv-bias-zero", "nan-decay", "negative-eps",
         "bn-channels-differ", "zero-keep", "keep-above-period", "level-not-an-int", "role-not-skip",
@@ -178,25 +179,23 @@ def test_tconv_with_bias_exits_1(tmp_path, capsys):
     assert f"error: node {name!r}: tconv has no attribute 'bias'" in err
 
 
-def test_format_1_graph_file_exits_1_naming_its_version(tmp_path, capsys):
-    # a well-formed file of the format that wrote decay, eps and bias=0 on
-    # every node; its digest is valid, its version is not read
-    body = ("sunet-graph 1\ninput c=3 h=16 w=16\nmeta features b1\n"
-            + CONV.replace("\n", " bias=0\n")
-            + "node b1 bn_relu in=c1 c=8 decay=0.99 eps=1e-05\n")
+def test_format_2_graph_file_exits_1_naming_its_version(tmp_path, capsys):
+    # a well-formed file of the format that stored the input extent; its
+    # digest is valid, its version is not read
+    body = "sunet-graph 2\ninput c=3 h=16 w=16\n" + CONV + "node b1 bn_relu in=c1 c=8\n"
     path = tmp_path / "old.graph"
     path.write_text(body + f"digest {hashlib.sha256(body.encode()).hexdigest()}\n")
     rc, out, err = run(capsys, "analyze", "--graph", str(path))
     assert rc == 1
     assert out == ""
-    assert err == ("error: graph format 1 is not read, only format 2: rebuild "
+    assert err == ("error: graph format 2 is not read, only format 3: rebuild "
                    "the graph with suncli build or suncli convert\n")
 
 
 def test_convert_degridding_layout(tmp_path, capsys):
     path = str(tmp_path / "seg.graph")
     rc, _, _ = run(capsys, "convert", "--preset", "sunet7_128",
-                   "--input-hw", "513", "--output-stride", "8",
+                   "--output-stride", "8",
                    "--degridding", "--classes", "21", "--out", path)
     assert rc == 0
     g = NetworkGraph.parse(Path(path).read_text())
@@ -207,8 +206,18 @@ def test_convert_degridding_layout(tmp_path, capsys):
     assert g.meta["output_stride"] == "8"
 
 
+@pytest.mark.parametrize("cmd", ["build", "convert"])
+def test_build_and_convert_take_no_input_extent(tmp_path, capsys, cmd):
+    # a graph runs at any size and stores none; only analyze takes one
+    rc, _, err = run(capsys, cmd, "--toy", "8", "--input-hw", "64",
+                     "--out", str(tmp_path / "g.graph"))
+    assert rc == 1
+    assert "unrecognized arguments: --input-hw 64" in err
+    assert not (tmp_path / "g.graph").exists()
+
+
 def test_convert_to_stdout(capsys):
-    rc, out, _ = run(capsys, "convert", "--toy", "8", "--input-hw", "64")
+    rc, out, _ = run(capsys, "convert", "--toy", "8")
     assert rc == 0
     assert NetworkGraph.parse(out).meta["kind"] == "segmentation"
 
@@ -262,8 +271,7 @@ def pipeline(tmp_path_factory):
     out = str(root / "run")
     assert main(["gen-data", "--out", data, "--count", "6",
                  "--canvas", "64", "--classes", "3", "--seed", "5"]) == 0
-    assert main(["build", "--toy", "8", "--input-hw", "64",
-                 "--out", clf]) == 0
+    assert main(["build", "--toy", "8", "--out", clf]) == 0
     assert main(["convert", "--graph", clf, "--classes", "3",
                  "--output-stride", "16", "--out", seg]) == 0
     assert main(["train", "--graph", seg,
@@ -284,7 +292,7 @@ def test_train_outputs(pipeline, capsys):
 
 
 def test_train_crop_off_the_graph_size(pipeline, tmp_path, capsys):
-    # the pipeline's graph is declared at 64x64
+    # the pipeline's images are 64x64
     out = tmp_path / "run"
     rc, _, _ = run(capsys, "train", "--graph", pipeline["seg"],
                    "--data", pipeline["manifest"], "--out", str(out),
@@ -298,7 +306,7 @@ def test_train_default_crop_is_the_first_image_extent(tmp_path, capsys, monkeypa
     # gen-data's default canvas is 96x96, and so is each training sample
     data, clf, seg = (str(tmp_path / name) for name in ("data", "clf.graph", "seg.graph"))
     assert main(["gen-data", "--out", data, "--count", "2"]) == 0
-    assert main(["build", "--toy", "8", "--input-hw", "64", "--out", clf]) == 0
+    assert main(["build", "--toy", "8", "--out", clf]) == 0
     assert main(["convert", "--graph", clf, "--classes", "4", "--output-stride", "32",
                  "--out", seg]) == 0
     shapes = []
@@ -436,6 +444,36 @@ def test_graph_classes_differ_from_the_data_exits_1(pipeline, tmp_path, capsys,
     assert rc == 1
     assert f"graph outputs {classes or 21} classes, dataset has 3" in err
     assert not list(pred.glob("*.pgm"))     # infer fails before it writes a map
+
+
+def test_graph_without_upsample_evaluates_but_does_not_train(pipeline, tmp_path,
+                                                             capsys):
+    # --no-upsample keeps the logits at feature resolution, 4x4 of the
+    # 64x64 images at OS16: the labels of a training step cannot match
+    graph = str(tmp_path / "seg.graph")
+    assert main(["convert", "--graph", pipeline["clf"], "--classes", "3",
+                 "--output-stride", "16", "--no-upsample", "--out", graph]) == 0
+    run_dir = tmp_path / "run"
+    rc, _, err = run(capsys, "train", "--graph", graph, "--data", pipeline["manifest"],
+                     "--out", str(run_dir), "--iters", "1", "--batch-size", "2")
+    assert rc == 1
+    assert err == ("error: output node 'cls.conv' is 4x4 at the training extent "
+                   "64x64; a graph whose output does not keep the input extent "
+                   "can be evaluated but not trained\n")
+    assert not run_dir.exists()
+    ckpt = str(tmp_path / "init.sunc")
+    save_checkpoint(ckpt, Network(NetworkGraph.parse(Path(graph).read_text())))
+    rc, out, _ = run(capsys, "eval", "--graph", graph, "--checkpoint", ckpt,
+                     "--data", pipeline["manifest"], "--scales", "multi", "--flip")
+    assert rc == 0
+    assert "mIoU:" in out
+    pred = tmp_path / "pred"
+    rc, _, _ = run(capsys, "infer", "--graph", graph, "--checkpoint", ckpt,
+                   "--data", pipeline["manifest"], "--out", str(pred))
+    assert rc == 0
+    maps = sorted(pred.glob("*.pgm"))
+    assert len(maps) == 6
+    assert read_pgm(str(maps[0])).shape == (64, 64)
 
 
 def test_eval_checkpoint_digest_mismatch(pipeline, capsys):

@@ -16,7 +16,7 @@ from sunet.training import TrainConfig, train
 
 
 def small_graph():
-    g = NetworkGraph(3, (16, 16))
+    g = NetworkGraph(3)
     g.add("c1", "conv", ["input"], cin=3, cout=8, k=(3, 3), s=(2, 2),
           d=(1, 1), p=(1, 1), stage="conv1", level=1)
     g.add("b1", "bn_relu", ["c1"], c=8)
@@ -115,7 +115,7 @@ def test_meta_survives_round_trip():
 
 def test_infer_shapes_tracks_stride():
     g = small_graph()
-    shapes = g.infer_shapes()
+    shapes = g.infer_shapes((16, 16))
     assert shapes["input"] == (3, 16, 16)
     assert shapes["c1"] == (8, 8, 8)
     assert shapes["b1"] == (8, 8, 8)
@@ -132,11 +132,11 @@ def test_tconv_restores_the_extent_of_its_second_input():
     # a stride-2 tconv of an 8x8 map reaches 15 or 16, never 8
     g.add("bad", "tconv", ["b1", "b1"], **up)
     with pytest.raises(GraphError, match="'bad'"):
-        g.infer_shapes()
+        g.infer_shapes((16, 16))
 
 
 def test_gap_runs_avg_pool2d_and_is_the_float64_mean(monkeypatch):
-    g = NetworkGraph(3, (7, 7))
+    g = NetworkGraph(3)
     g.add("gap", "gap", ["input"])
     windows = []
 

@@ -152,9 +152,9 @@ def test_two_scale_average_hand_composition():
 
 @pytest.mark.parametrize("output_stride", [32, 16, 8])
 def test_one_network_matches_per_extent_rebuilds(output_stride):
-    # one network, declared at 64x64, serves scaled sizes 36x42, 53x64,
-    # 71x85 and 89x106; the reference forwards each through a graph
-    # rebuilt for that extent with the weights copied in
+    # one network, built at 64x64, serves scaled sizes 36x42, 53x64,
+    # 71x85 and 89x106; the reference forwards each through a fresh
+    # network on rebuild_for_input's graph with the weights copied in
     g = to_segmentation(build_classifier(toy_config(8), input_hw=(64, 64)),
                         SegmentationConfig(num_classes=3,
                                            output_stride=output_stride))

@@ -7,6 +7,7 @@ from sunet.graph import GraphError
 from sunet.runtime import Network
 from sunet.segment import (SegmentationConfig, atrous_equivalence_check,
                            copy_shared, rebuild_for_input, to_segmentation)
+from sunet.training import load_checkpoint, save_checkpoint
 
 
 def classifier(hw=(129, 129), n=8):
@@ -28,12 +29,12 @@ def test_unsupported_output_stride_rejected():
 def test_requires_classifier_meta():
     from sunet.unet import module_graph
     with pytest.raises(GraphError):
-        seg(module_graph(8, 8, 8, hw=(32, 32)), 16)
+        seg(module_graph(8, 8, 8), 16)
 
 
 def test_os32_keeps_all_strides():
     g = seg(classifier(), 32, upsample=False)
-    shapes = g.infer_shapes()
+    shapes = g.infer_shapes((129, 129))
     assert shapes[g.output][1:] == (4, 4)
     # all three transitions still halve
     for name in ("t1", "t2", "t3"):
@@ -47,7 +48,7 @@ def test_os16_converts_last_transition():
     assert t3.attrs["s"] == (1, 1)
     assert t3.attrs["d"] == (1, 1)
     assert t3.attrs["pad"] == (0, 1, 0, 1)
-    shapes = g.infer_shapes()
+    shapes = g.infer_shapes((129, 129))
     assert shapes[g.output][1:] == (8, 8)
 
 
@@ -57,13 +58,13 @@ def test_os8_converts_two_transitions_with_dilated_window():
     assert t2.attrs["s"] == (1, 1) and t2.attrs["d"] == (1, 1)
     assert t3.attrs["s"] == (1, 1) and t3.attrs["d"] == (2, 2)
     assert t3.attrs["pad"] == (0, 2, 0, 2)
-    shapes = g.infer_shapes()
+    shapes = g.infer_shapes((129, 129))
     assert shapes[g.output][1:] == (16, 16)
 
 
 def test_upsample_restores_input_resolution():
     g = seg(classifier(), 16, upsample=True)
-    shapes = g.infer_shapes()
+    shapes = g.infer_shapes((129, 129))
     assert shapes[g.output][1:] == (129, 129)
     assert g.infer_shapes((97, 113))[g.output][1:] == (97, 113)
 
@@ -93,9 +94,9 @@ def test_classifier_head_replaced():
 
 def test_rf_preserved_node_for_node():
     base = classifier()
-    rf0 = receptive_field(base)
+    rf0 = receptive_field(base, (129, 129))
     for os_ in (16, 8):
-        rf1 = receptive_field(seg(base, os_, upsample=False))
+        rf1 = receptive_field(seg(base, os_, upsample=False), (129, 129))
         shared = set(rf0) & set(rf1)
         assert len(shared) > 20
         for name in shared:
@@ -166,7 +167,7 @@ def test_rebuild_for_input_matches_fresh_build():
 def test_rebuild_rejects_plain_graph():
     from sunet.unet import module_graph
     with pytest.raises(GraphError):
-        rebuild_for_input(module_graph(8, 8, 8, hw=(32, 32)), (64, 64))
+        rebuild_for_input(module_graph(8, 8, 8), (64, 64))
 
 
 def test_converted_forward_shapes_differ_only_spatially():
@@ -183,12 +184,28 @@ def test_converted_forward_shapes_differ_only_spatially():
 # these pins breaks every checkpoint of that architecture: update them
 # only on purpose and say which checkpoints stop loading.
 PINNED_DIGESTS = {
-    "classifier": "c10a0f341e45d6340a0b4294cc150f7ac446345e758d96f78445a0474a73ebc1",
-    "os16-multigrid": "bc4bffdbe9bba69bcad2befc29853fa48b3001d8dbf4a3a54dc88c37f56bf89b",
-    "os8-multigrid-degridding": "9ace901fdfde72552a41ddfaf590aa0f10c762cb8905aec3fde31de78bf834ae",
-    "os8-strided": "b6dc66682042f790b8046e5c16c7944c3c94d0566bf7b3e7b7c44d9912a10e61",
-    "module-trimmed-multigrid-rate2": "e5b502b6cba396e77b9b41f95f5f52236b52898aa94ba74e4e789c5fe9a92a4c",
+    "classifier": "5c2720d354f659411c8fc37dec7b21e840080abbbf2dd7d22390307b45ae3027",
+    "os16-multigrid": "2f57d139abce1be92982eb0255f9180074f78f40391ca0ff7de197a62504cbd2",
+    "os8-multigrid-degridding": "eb90732ee8d976115d4a9e417d4a1f91e7cbd304497246fc50d933118b218f5a",
+    "os8-strided": "c5dc29cd73e3e92ff13b759713130de445f1c65c68f5a8ca698a74f024c8e038",
+    "module-trimmed-multigrid-rate2": "a39310f9d2d54153a4f0831754ac5202f5ea2f39e7c551b5dc756674a94ac278",
 }
+
+
+def test_one_network_has_one_digest(tmp_path):
+    # a graph stores no input extent: one config built at 64x64 and at
+    # 128x128 and then converted is one graph file, and a checkpoint of
+    # either network loads into the other
+    small, large = (seg(build_classifier(toy_config(16, num_classes=4), input_hw=hw), 16,
+                        classes=4) for hw in ((64, 64), (128, 128)))
+    assert small.serialize() == large.serialize()
+    path = str(tmp_path / "small.sunc")
+    trained = Network(small, seed=1)
+    save_checkpoint(path, trained)
+    net = Network(large, seed=2)
+    load_checkpoint(path, net)
+    for name, t in trained.params.items():
+        assert net.params[name].data.tobytes() == t.data.tobytes()
 
 
 def test_builder_digests_are_pinned():
@@ -200,6 +217,6 @@ def test_builder_digests_are_pinned():
         "os8-multigrid-degridding": seg(g, 8, degrid=True).digest,
         "os8-strided": seg(g, 8, multigrid=False).digest,
         "module-trimmed-multigrid-rate2": module_graph(
-            8, 4, 8, (16, 16), trimmed=True, multigrid=True, rate=2).digest,
+            8, 4, 8, trimmed=True, multigrid=True, rate=2).digest,
     }
     assert got == PINNED_DIGESTS

@@ -22,9 +22,9 @@ from sunet.training import (TrainConfig, load_checkpoint, loss_csv,
                             save_checkpoint, train)
 
 
-def tiny_graph(hw=(8, 8), classes=2):
+def tiny_graph(classes=2):
     """Per-pixel linear classifier: one 1x1 conv with bias."""
-    g = NetworkGraph(3, hw)
+    g = NetworkGraph(3)
     g.add("cls", "conv", ["input"], cin=3, cout=classes, k=(1, 1),
           s=(1, 1), d=(1, 1), p=(0, 0), bias=True)
     return g
@@ -58,9 +58,9 @@ def cfg(iters, lr=0.5, batch=2, seed=0, **kw):
     return TrainConfig(iters=iters, optimizer=opt, seed=seed, **kw)
 
 
-def conv_graph(hw=(32, 32), classes=2, width=16):
+def conv_graph(classes=2, width=16):
     """Two 3x3 convs around a BN-ReLU: the tape dominates the memory."""
-    g = NetworkGraph(3, hw)
+    g = NetworkGraph(3)
     g.add("c1", "conv", ["input"], cin=3, cout=width, k=(3, 3), s=(1, 1),
           d=(1, 1), p=(1, 1))
     g.add("bn", "bn_relu", ["c1"], c=width)
@@ -195,7 +195,7 @@ def test_checkpoint_digest_mismatch(tmp_path):
     net = Network(tiny_graph())
     path = str(tmp_path / "c.sunc")
     save_checkpoint(path, net, iteration=0)
-    other = Network(tiny_graph(hw=(16, 16)))
+    other = Network(tiny_graph(classes=3))
     with pytest.raises(GraphError, match="bound to graph"):
         load_checkpoint(path, other)
 
@@ -293,7 +293,7 @@ def test_previous_step_tape_freed_before_next_batch():
 
 
 def test_train_on_crops_off_the_declared_size():
-    # the graph is declared at 64x64; the crops are 45x50
+    # the graph is built at 64x64; the crops are 45x50
     g = to_segmentation(build_classifier(toy_config(8), input_hw=(64, 64)),
                         SegmentationConfig(num_classes=2, output_stride=16))
     net = Network(g, seed=0)

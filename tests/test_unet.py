@@ -16,7 +16,7 @@ def forward(net, x):
 @pytest.mark.parametrize("hw", [(16, 16), (17, 17), (16, 21)])
 @pytest.mark.parametrize("trimmed", [False, True])
 def test_module_preserves_spatial_size(hw, trimmed):
-    g = module_graph(8, 8, 8, hw=hw, trimmed=trimmed)
+    g = module_graph(8, 8, 8, trimmed=trimmed)
     net = Network(g, seed=0)
     x = np.random.default_rng(0).normal(size=(1, 8, *hw)).astype(np.float32)
     out = forward(net, x)
@@ -24,7 +24,7 @@ def test_module_preserves_spatial_size(hw, trimmed):
 
 
 def test_module_projects_channels():
-    g = module_graph(8, 4, 12, hw=(16, 16))
+    g = module_graph(8, 4, 12)
     net = Network(g, seed=0)
     x = np.zeros((2, 8, 16, 16), dtype=np.float32)
     assert forward(net, x).shape == (2, 12, 16, 16)
@@ -34,15 +34,15 @@ def test_module_projects_channels():
 
 
 def test_module_identity_skip_when_widths_match():
-    g = module_graph(8, 4, 8, hw=(16, 16))
+    g = module_graph(8, 4, 8)
     assert "m.skip" not in g.by_name
 
 
 def test_multigrid_rate1_equals_strided_layout():
     # at rate 1 the mask keeps everything and both layouts compute the
     # same function once parameters are shared
-    gs = module_graph(8, 8, 8, hw=(16, 16), multigrid=False)
-    gm = module_graph(8, 8, 8, hw=(16, 16), multigrid=True, rate=1)
+    gs = module_graph(8, 8, 8, multigrid=False)
+    gm = module_graph(8, 8, 8, multigrid=True, rate=1)
     ns, nm = Network(gs, seed=3), Network(gm, seed=5)
     copied = copy_shared(ns, nm)
     assert copied
@@ -59,11 +59,11 @@ def test_multigrid_rate1_equals_strided_layout():
 @pytest.mark.parametrize("trimmed", [False, True])
 @pytest.mark.parametrize("multigrid", [False, True])
 def test_module_built_once_restores_any_input_extent(hw, trimmed, multigrid):
-    # one module graph, declared at 16x16, fed odd, even and non-square
-    # inputs: every transposed conv derives its output padding from the
-    # extent it restores, so the output keeps the input extent
-    g = module_graph(8, 8, 8, hw=(16, 16), trimmed=trimmed,
-                     multigrid=multigrid, rate=2 if multigrid else 1)
+    # one module graph fed odd, even and non-square inputs: every
+    # transposed conv derives its output padding from the extent it
+    # restores, so the output keeps the input extent
+    g = module_graph(8, 8, 8, trimmed=trimmed, multigrid=multigrid,
+                     rate=2 if multigrid else 1)
     net = Network(g, seed=0)
     x = np.random.default_rng(0).normal(size=(1, 8, *hw)).astype(np.float32)
     assert forward(net, x).shape == (1, 8, *hw)
@@ -71,7 +71,7 @@ def test_module_built_once_restores_any_input_extent(hw, trimmed, multigrid):
 
 
 def test_full_module_block_names():
-    g = module_graph(8, 8, 8, hw=(16, 16))
+    g = module_graph(8, 8, 8)
     names = {n.name for n in g.nodes}
     for stem in ("m.bin", "m.e1a", "m.e1b", "m.e2a", "m.e2b", "m.d2a",
                  "m.d2b", "m.d1a", "m.d1b", "m.bout"):
@@ -81,7 +81,7 @@ def test_full_module_block_names():
 
 
 def test_trimmed_module_drops_inner_level():
-    g = module_graph(8, 8, 8, hw=(16, 16), trimmed=True)
+    g = module_graph(8, 8, 8, trimmed=True)
     names = {n.name for n in g.nodes}
     assert "m.e2a.conv" not in names
     assert "m.cat" not in names
@@ -89,7 +89,7 @@ def test_trimmed_module_drops_inner_level():
 
 
 def test_multigrid_masks_present_with_rate():
-    g = module_graph(8, 8, 8, hw=(32, 32), multigrid=True, rate=2)
+    g = module_graph(8, 8, 8, multigrid=True, rate=2)
     d2 = g.by_name["m.d2mask"]
     d1 = g.by_name["m.d1mask"]
     assert (d2.attrs["period"], d2.attrs["keep"]) == (8, 2)
@@ -102,9 +102,9 @@ def test_multigrid_masks_present_with_rate():
 
 def test_module_rejects_bad_rate():
     with pytest.raises(GraphError):
-        module_graph(8, 8, 8, hw=(16, 16), multigrid=True, rate=0)
+        module_graph(8, 8, 8, multigrid=True, rate=0)
 
 
 def test_module_rejects_bad_width():
     with pytest.raises(GraphError):
-        module_graph(8, 0, 8, hw=(16, 16))
+        module_graph(8, 0, 8)
