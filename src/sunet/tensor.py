@@ -473,7 +473,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     def backward(grad):
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)).reshape(1, co, 1, 1), owned=True)
+            bias._accumulate(_channel_sum(grad).astype(grad.dtype), owned=True)
         xd = _values(keep)
         dx, dw = _adjoint(grad, wd, s, d, p, (h, w), xd) if x.requires_grad else (None, None)
         if dw is not None:

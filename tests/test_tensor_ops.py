@@ -685,6 +685,21 @@ def test_batchnorm_float32_large_mean_precision_and_memory():
     assert peak <= 1.2 * x32.nbytes, peak / x32.nbytes
 
 
+def test_conv_bias_gradient_sums_in_float64():
+    # 8,191 ones after one 2**24: float32 partial sums drop ones next to
+    # 2**24 (16785392); a float64 sum is exact, 16785407, and rounds once
+    # to float32, as batch norm's beta gradient does
+    x = Tensor(np.zeros((2, 1, 64, 64), np.float32))
+    w = Tensor(np.ones((1, 1, 1, 1), np.float32), requires_grad=True)
+    b = Tensor(np.zeros((1, 1, 1, 1), np.float32), requires_grad=True)
+    out = T.conv2d(x, w, b)
+    grad = np.ones(out.data.shape, np.float32)
+    grad[0, 0, 0, 0] = 2.0 ** 24
+    out.backward(grad)
+    assert b.grad.dtype == np.float32 and b.grad.shape == (1, 1, 1, 1)
+    assert b.grad.item() == 16785408.0
+
+
 # --------------------------------------------- fused batch norm and ReLU
 
 def _bn_args(rng, dtype, c=3):
