@@ -2,8 +2,8 @@
 
 Everything here works off the graph description alone: parameter counts
 come from node attributes, receptive fields from the layer recurrence,
-and shape traces from the graph's shape rules at a given input extent. The activation dump is
-the one routine that touches real weights.
+and shape traces from the graph's shape rules at a given input extent.
+The activation dump is the one routine that touches real weights.
 """
 from __future__ import annotations
 
